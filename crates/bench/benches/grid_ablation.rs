@@ -1,8 +1,7 @@
 //! Ablation bench (BENCH_PR10.json): the dense occupancy index against the
 //! sparse cell-map fallback (`Assignment::without_dense_grid`).
 //!
-//! Two views, both over the same Figure-6 style workload the oracle
-//! ablation uses:
+//! Two views, both over one Figure-6 style workload on a 1,024-rank torus:
 //!
 //! 1. **NFI scan kernel** — the radius-4 Chebyshev `nfi_acd` call, which
 //!    is exactly the code the dense grid rewrites: with the index, each

@@ -22,9 +22,6 @@ use sfc_core::{ArtifactKind, ExperimentSpec};
 /// Knobs that change how a sweep computes but never what it computes.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ComputeOpts {
-    /// Skip the precomputed hop-distance oracle (ablation; output bytes are
-    /// identical either way).
-    pub no_oracle: bool,
     /// Skip the dense occupancy grid and probe the sparse cell index per
     /// neighborhood cell (ablation; output bytes are identical either way).
     pub no_dense_grid: bool,
@@ -237,25 +234,6 @@ mod tests {
     }
 
     #[test]
-    fn no_oracle_is_byte_identical() {
-        let fast = compute(
-            &spec(ArtifactKind::Figure7),
-            &ComputeOpts::default(),
-            &mut SweepRunner::ephemeral(),
-        );
-        let slow = compute(
-            &spec(ArtifactKind::Figure7),
-            &ComputeOpts {
-                no_oracle: true,
-                ..ComputeOpts::default()
-            },
-            &mut SweepRunner::ephemeral(),
-        );
-        assert_eq!(fast.body_plain, slow.body_plain);
-        assert_eq!(fast.data, slow.data);
-    }
-
-    #[test]
     fn no_dense_grid_is_byte_identical() {
         // The dense occupancy index is a pure fast path: every artifact
         // that consumes assignments must render identical bytes without it.
@@ -269,7 +247,6 @@ mod tests {
                 &spec(artifact),
                 &ComputeOpts {
                     no_dense_grid: true,
-                    ..ComputeOpts::default()
                 },
                 &mut SweepRunner::ephemeral(),
             );

@@ -32,7 +32,7 @@ use sfc_core::nfi::nfi_acd;
 use sfc_core::report::Table;
 use sfc_core::runner::{BatchCell, SweepRunner};
 use sfc_core::timing;
-use sfc_core::ExperimentSpec;
+use sfc_core::{ExperimentSpec, Machine};
 use sfc_curves::curve3d::Curve3dKind;
 use sfc_curves::point::Norm;
 use sfc_curves::CurveKind;
@@ -107,7 +107,7 @@ pub fn run_extensions(
                 let asg = timing::phase("assign", || {
                     crate::harness::assignment(opts, particles, workload.grid_order, curve, procs)
                 });
-                let machine = crate::harness::machine(opts, TopologyKind::Torus, procs, curve);
+                let machine = Machine::new(TopologyKind::Torus, procs, curve);
                 let load =
                     timing::phase("nfi", || nfi_link_load(&asg, &machine, radius, norm));
                 let acd = if load.messages == 0 {
@@ -248,7 +248,7 @@ pub fn run_extensions(
                 let asg = timing::phase("assign", || {
                     crate::harness::assignment(opts, particles, workload.grid_order, curve, procs)
                 });
-                let machine = crate::harness::machine(opts, TopologyKind::Torus, procs, curve);
+                let machine = Machine::new(TopologyKind::Torus, procs, curve);
                 vec![
                     timing::phase("nfi", || {
                         nfi_acd(&asg, &machine, radius, norm)

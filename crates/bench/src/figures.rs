@@ -14,7 +14,7 @@ use sfc_core::nfi::nfi_acd;
 use sfc_core::report::Table;
 use sfc_core::runner::{BatchCell, CellResult, SweepRunner};
 use sfc_core::timing;
-use sfc_core::{ExperimentSpec, Stats};
+use sfc_core::{ExperimentSpec, Machine, Stats};
 use sfc_curves::point::Norm;
 use sfc_curves::{CurveKind, Point2};
 use sfc_particles::Workload;
@@ -159,7 +159,7 @@ pub fn run_topology_sweep(
                 let tree = timing::phase("index", || OwnerTree::build(&asg));
                 let mut values = Vec::with_capacity(2 * nt);
                 for &topo in topologies {
-                    let machine = crate::harness::machine(opts, topo, num_procs, curve);
+                    let machine = Machine::new(topo, num_procs, curve);
                     values.push(timing::phase("nfi", || {
                         nfi_acd(&asg, &machine, radius, norm)
                             .unwrap_or_else(|e| panic!("nfi_acd: {e}"))
@@ -274,7 +274,7 @@ pub fn run_processor_sweep(
                         crate::harness::assignment(opts, particles, workload.grid_order, curve, procs)
                     });
                     let tree = timing::phase("index", || OwnerTree::build(&asg));
-                    let machine = crate::harness::machine(opts, topology, procs, curve);
+                    let machine = Machine::new(topology, procs, curve);
                     vec![
                         timing::phase("nfi", || {
                             nfi_acd(&asg, &machine, radius, norm)
@@ -382,8 +382,7 @@ pub fn run_radius_sweep(
                     let asg = timing::phase("assign", || {
                         crate::harness::assignment(opts, particles, workload.grid_order, curve, num_procs)
                     });
-                    let machine =
-                        crate::harness::machine(opts, TopologyKind::Torus, num_procs, curve);
+                    let machine = Machine::new(TopologyKind::Torus, num_procs, curve);
                     vec![timing::phase("nfi", || {
                         nfi_acd(&asg, &machine, radius, norm)
                             .unwrap_or_else(|e| panic!("nfi_acd: {e}"))
@@ -461,8 +460,7 @@ pub fn run_input_size_sweep(
                         crate::harness::assignment(opts, particles, workload.grid_order, curve, num_procs)
                     });
                     let tree = timing::phase("index", || OwnerTree::build(&asg));
-                    let machine =
-                        crate::harness::machine(opts, TopologyKind::Torus, num_procs, curve);
+                    let machine = Machine::new(TopologyKind::Torus, num_procs, curve);
                     vec![
                         timing::phase("nfi", || {
                             nfi_acd(&asg, &machine, radius, norm)
@@ -543,8 +541,7 @@ pub fn run_distribution_comparison(
                         crate::harness::assignment(opts, particles, workload.grid_order, curve, num_procs)
                     });
                     let tree = timing::phase("index", || OwnerTree::build(&asg));
-                    let machine =
-                        crate::harness::machine(opts, TopologyKind::Torus, num_procs, curve);
+                    let machine = Machine::new(TopologyKind::Torus, num_procs, curve);
                     vec![
                         timing::phase("nfi", || {
                             nfi_acd(&asg, &machine, radius, norm)

@@ -13,11 +13,8 @@ use crate::args::SweepArgs;
 use crate::artifact::{compute, ArtifactOutput, ComputeOpts};
 use serde_json::{json, ToJson, Value};
 use sfc_core::runner::{ChaosInjector, RunnerOptions, SweepRunner, SweepSummary};
-use sfc_core::{
-    ArtifactKind, Assignment, CachedArtifact, ExperimentSpec, Machine, ResultCache, TraceSink,
-};
+use sfc_core::{ArtifactKind, Assignment, CachedArtifact, ExperimentSpec, ResultCache, TraceSink};
 use sfc_curves::{CurveKind, Point2};
-use sfc_topology::TopologyKind;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -59,11 +56,10 @@ pub mod error_kind {
 
 /// The configuration fingerprint stored in a journal header: a journal can
 /// only resume a sweep with the same scale, trials and seed. Chaos, budget,
-/// jobs, timing, oracle and dense-grid flags are deliberately excluded —
+/// jobs, timing and dense-grid flags are deliberately excluded —
 /// interrupting a run with a different budget or thread count (or
 /// sabotaging it in a test) must not orphan the journal, and
-/// `--timing`/`--no-oracle`/`--no-dense-grid` do not change any computed
-/// value.
+/// `--timing`/`--no-dense-grid` do not change any computed value.
 pub fn fingerprint(args: &SweepArgs) -> Value {
     json!({
         "scale": args.scale,
@@ -103,24 +99,10 @@ pub fn runner(sweep: &str, args: &SweepArgs) -> SweepRunner {
     }
 }
 
-/// Build a machine for a sweep cell, honoring `--no-oracle`: the default
-/// machine precomputes the dense hop-distance oracle, the flag falls back
-/// to closed-form distances. Both produce identical values — the flag
-/// exists for ablation and byte-identity verification.
-pub fn machine(opts: &ComputeOpts, topo: TopologyKind, num_procs: u64, curve: CurveKind) -> Machine {
-    let m = Machine::new(topo, num_procs, curve);
-    if opts.no_oracle {
-        m.without_oracle()
-    } else {
-        m
-    }
-}
-
 /// Build an assignment for a sweep cell, honoring `--no-dense-grid`: the
 /// default assignment carries the dense occupancy index, the flag keeps
 /// only the sparse cell map. Both produce identical values — the flag
-/// exists for ablation and byte-identity verification, mirroring
-/// [`machine`].
+/// exists for ablation and byte-identity verification.
 pub fn assignment(
     opts: &ComputeOpts,
     particles: &[Point2],
@@ -259,7 +241,6 @@ pub fn run_artifact_with(kind: ArtifactKind, args: &SweepArgs) {
     println!("{banner}");
     let mut runner = runner(kind.sweep_name(), args);
     let opts = ComputeOpts {
-        no_oracle: args.no_oracle,
         no_dense_grid: args.no_dense_grid,
     };
     let out = compute(&spec, &opts, &mut runner);

@@ -68,9 +68,7 @@ pub fn run_distribution(
     let machines: Vec<Machine> = spec
         .effective_processor_curves()
         .iter()
-        .map(|&proc_curve| {
-            crate::harness::machine(opts, spec.topologies[0], num_procs, proc_curve)
-        })
+        .map(|&proc_curve| Machine::new(spec.topologies[0], num_procs, proc_curve))
         .collect();
 
     // Per-trial particle sets, sampled lazily and shared by the trial's

@@ -121,8 +121,8 @@ impl Assignment {
     }
 
     /// Drop the dense occupancy index, forcing every cell query onto the
-    /// `CellMap` probe path (ablation/verification parity with
-    /// [`Machine::without_oracle`](crate::Machine::without_oracle)).
+    /// `CellMap` probe path (ablation and verification: both paths give
+    /// bit-identical results).
     pub fn without_dense_grid(mut self) -> Self {
         self.grid = None;
         self

@@ -89,12 +89,6 @@ pub enum SfcError {
         /// The entry point's maximum supported order.
         max_order: u32,
     },
-    /// The topology's diameter does not fit the distance oracle's `u16`
-    /// cells, so a cached distance would saturate.
-    OracleDistanceOverflow {
-        /// The topology diameter that overflowed.
-        diameter: u64,
-    },
     /// A whole-artifact computation panicked (outside the per-cell retry
     /// machinery — e.g. in a daemon's `compute_artifact` leader). The panic
     /// was contained with `catch_unwind`; the computation produced nothing
@@ -148,11 +142,6 @@ impl std::fmt::Display for SfcError {
             SfcError::OrderTooLarge { order, max_order } => write!(
                 f,
                 "grid order {order} exceeds this entry point's maximum of {max_order}"
-            ),
-            SfcError::OracleDistanceOverflow { diameter } => write!(
-                f,
-                "topology diameter {diameter} exceeds the distance oracle's \
-                 u16 range"
             ),
             SfcError::ComputePanicked { message } => {
                 write!(f, "artifact computation panicked: {message}")
@@ -214,9 +203,6 @@ mod tests {
         let e = SfcError::OrderTooLarge { order: 20, max_order: 14 };
         let msg = e.to_string();
         assert!(msg.contains("20") && msg.contains("14"));
-
-        let e = SfcError::OracleDistanceOverflow { diameter: 70_000 };
-        assert!(e.to_string().contains("70000"));
 
         let e = SfcError::ComputePanicked {
             message: "index out of bounds".into(),

@@ -199,9 +199,7 @@ pub fn ffi_acd_with_tree(
     let mut result = FfiResult::default();
 
     // Interpolation / anterpolation: every occupied cell below the root
-    // exchanges with its parent's owner. The sender's oracle row is not
-    // worth hoisting here — each cell makes exactly one exchange — but the
-    // single lookups still ride the dense table via `Machine::distance`.
+    // exchanges with its parent's owner.
     for level in 1..=k {
         let entries = tree.level_entries(level);
         let parents = &tree.levels[(level - 1) as usize];
@@ -229,17 +227,11 @@ pub fn ffi_acd_with_tree(
             .par_iter()
             .map(|&(code, rank)| {
                 let cell = Cell::from_code(level, code);
-                // Hoist the per-cell invariant: one oracle row borrow
-                // covers the up-to-27 interaction partners of the cell.
-                let row = machine.distance_row(rank);
                 let mut d = 0u64;
                 let mut c = 0u64;
                 for other_cell in interaction_list(cell) {
                     if let Some(other) = level_map.get(other_cell.code()) {
-                        d += match row {
-                            Some(row) => u64::from(row[other as usize]),
-                            None => machine.distance(rank, other),
-                        };
+                        d += machine.distance(rank, other);
                         c += 1;
                     }
                 }
@@ -384,15 +376,6 @@ mod tests {
             }) => {}
             other => panic!("expected MachineTooSmall, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn oracle_on_and_off_agree() {
-        let particles = pts(&[(0, 0), (3, 3), (5, 5), (7, 0), (2, 6), (6, 2)]);
-        let asg = Assignment::new(&particles, 3, CurveKind::Hilbert, 16);
-        let cached = Machine::grid(TopologyKind::Torus, 16, CurveKind::Hilbert);
-        let plain = Machine::grid(TopologyKind::Torus, 16, CurveKind::Hilbert).without_oracle();
-        assert_eq!(ffi_acd(&asg, &cached), ffi_acd(&asg, &plain));
     }
 
     #[test]

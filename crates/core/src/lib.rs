@@ -62,7 +62,6 @@ pub mod machine;
 pub mod model3d;
 pub mod nfi;
 pub mod obs;
-pub mod oracle;
 pub mod pattern;
 pub mod report;
 pub mod runner;
@@ -78,7 +77,6 @@ pub use error::SfcError;
 pub use experiment::{AcdExperiment, AcdMeasurement};
 pub use machine::Machine;
 pub use obs::{Counter, Gauge, Histogram, MetricsRegistry, TraceSink};
-pub use oracle::DistanceOracle;
 pub use runner::{BatchCell, CellResult, ChaosInjector, RunnerOptions, SweepRunner, SweepSummary};
 pub use spec::{ArtifactKind, ExperimentSpec};
 pub use stats::Stats;

@@ -2,15 +2,12 @@
 //! paper's algorithm.
 //!
 //! [`Machine`] resolves application ranks to physical nodes *once* at
-//! construction (the rank→node table is `p` entries), and for machines of
-//! up to [`MAX_ORACLE_ENTRIES`]`.isqrt()` ranks additionally precomputes the
-//! dense `P × P` hop matrix ([`DistanceOracle`]) so that the metric loops,
-//! which call [`Machine::distance`] tens of millions of times per trial,
-//! pay only a single `u16` table load per call. Above the threshold the
-//! closed-form path is used; the two paths return bit-identical distances.
+//! construction (the rank→node table is `p` entries). Every hop distance
+//! is then the topology's closed form (paper §II-B) on the two ranks'
+//! nodes — a few integer instructions, with no `P × P` table to build or
+//! keep resident.
 
 use crate::error::SfcError;
-use crate::oracle::{DistanceOracle, MAX_ORACLE_ENTRIES};
 use crate::Assignment;
 use sfc_curves::CurveKind;
 use sfc_topology::{RankMap, SfcRankMap, Topology, TopologyKind};
@@ -22,9 +19,6 @@ pub struct Machine {
     node_of_rank: Vec<u64>,
     /// Processor-order curve, if one applies.
     processor_curve: Option<CurveKind>,
-    /// Dense `P × P` hop table; `None` above the size threshold (or when
-    /// explicitly disabled for ablation).
-    oracle: Option<DistanceOracle>,
 }
 
 impl Machine {
@@ -35,7 +29,18 @@ impl Machine {
     /// topologies").
     pub fn new(kind: TopologyKind, num_ranks: u64, processor_curve: CurveKind) -> Self {
         let topo = kind.build(num_ranks);
-        Self::on_topology(topo, processor_curve)
+        let (node_of_rank, used_curve): (Vec<u64>, _) = match topo.grid_side() {
+            Some(side) => {
+                let map = SfcRankMap::for_side(processor_curve, side);
+                ((0..num_ranks).map(|r| map.node_of(r)).collect(), Some(processor_curve))
+            }
+            None => ((0..num_ranks).collect(), None),
+        };
+        Machine {
+            topo,
+            node_of_rank,
+            processor_curve: used_curve,
+        }
     }
 
     /// Fallible variant of [`Machine::new`]: reports a processor count that
@@ -65,55 +70,12 @@ impl Machine {
         Self::new(kind, num_ranks, processor_curve)
     }
 
-    /// Build from an already-constructed topology.
-    pub fn on_topology(topo: Box<dyn Topology>, processor_curve: CurveKind) -> Self {
-        let p = topo.num_nodes();
-        let (node_of_rank, used_curve): (Vec<u64>, _) = match topo.grid_side() {
-            Some(side) => {
-                let map = SfcRankMap::for_side(processor_curve, side);
-                ((0..p).map(|r| map.node_of(r)).collect(), Some(processor_curve))
-            }
-            None => ((0..p).collect(), None),
-        };
-        // Materialize the dense hop table when it fits the memory envelope.
-        // A diameter overflowing u16 (only reachable on topologies far past
-        // the threshold anyway) degrades to the closed-form path rather than
-        // failing construction: distances are identical either way.
-        let oracle = if p.checked_mul(p).is_some_and(|e| e <= MAX_ORACLE_ENTRIES) {
-            DistanceOracle::build(topo.as_ref(), &node_of_rank).ok()
-        } else {
-            None
-        };
-        Machine {
-            topo,
-            node_of_rank,
-            processor_curve: used_curve,
-            oracle,
-        }
-    }
-
-    /// This machine with the distance oracle dropped, forcing every
-    /// [`Machine::distance`] call through the closed-form topology path.
-    /// Ablation/benchmark knob; metric results are bit-identical with the
-    /// oracle on or off.
-    pub fn without_oracle(mut self) -> Self {
-        self.oracle = None;
-        self
-    }
-
-    /// Whether the dense hop table is in effect (machines over the
-    /// [`MAX_ORACLE_ENTRIES`] envelope, or explicitly ablated, run without
-    /// one).
+    /// Whether a precomputed hop-distance table serves
+    /// [`Machine::distance`]. Always `false`: every distance is the
+    /// topology's closed form. Kept so work counters that report the
+    /// distance path in use stay truthful.
     pub fn has_oracle(&self) -> bool {
-        self.oracle.is_some()
-    }
-
-    /// The hop-distance row of `rank` as `u16` entries, when the oracle is
-    /// present. Kernels hoist this borrow per particle so the inner scan is
-    /// one indexed load per pair.
-    #[inline]
-    pub fn distance_row(&self, rank: u32) -> Option<&[u16]> {
-        self.oracle.as_ref().map(|o| o.row(rank))
+        false
     }
 
     /// Check that every rank the assignment addresses exists on this
@@ -152,15 +114,11 @@ impl Machine {
 
     /// Hop distance between the processors hosting ranks `a` and `b`.
     ///
-    /// Served from the dense [`DistanceOracle`] when present; the
-    /// closed-form topology path otherwise. An out-of-range rank panics
-    /// with a message naming the rank and the machine size (not a bare
-    /// slice-index abort).
+    /// The topology's closed form on the ranks' nodes. An out-of-range
+    /// rank panics with a message naming the rank and the machine size
+    /// (not a bare slice-index abort).
     #[inline]
     pub fn distance(&self, a: u32, b: u32) -> u64 {
-        if let Some(oracle) = &self.oracle {
-            return oracle.distance(a, b);
-        }
         self.topo.distance(self.node_of(a), self.node_of(b))
     }
 
@@ -269,55 +227,35 @@ mod tests {
         }
     }
 
+    /// `Machine::distance` against an independently built reference:
+    /// `RankedNetwork` pairs each paper topology with the identity map, or
+    /// with the processor-order SFC map on the mesh and torus.
     #[test]
-    fn small_machines_carry_an_oracle_and_it_can_be_ablated() {
-        let m = Machine::grid(TopologyKind::Torus, 64, CurveKind::Hilbert);
-        assert!(m.has_oracle());
-        assert_eq!(m.distance_row(0).unwrap().len(), 64);
-        let m = m.without_oracle();
-        assert!(!m.has_oracle());
-        assert!(m.distance_row(0).is_none());
-    }
-
-    #[test]
-    fn above_the_size_threshold_the_fallback_stays_bit_identical() {
-        // 16,384² entries exceed MAX_ORACLE_ENTRIES, so construction skips
-        // the table and every distance takes the closed-form path — the
-        // same path `without_oracle` exercises, which the property test
-        // above pins against the cached path pair by pair. Here we check
-        // the threshold actually trips and the fallback still matches the
-        // raw topology.
-        let p = 16_384u64;
-        assert!(p * p > crate::oracle::MAX_ORACLE_ENTRIES);
-        let m = Machine::new(TopologyKind::Torus, p, CurveKind::Hilbert);
-        assert!(!m.has_oracle());
-        assert!(m.distance_row(0).is_none());
-        let topo = TopologyKind::Torus.build(p);
-        for (a, b) in [(0u32, 1u32), (5, 16_000), (9_999, 123), (777, 777)] {
-            assert_eq!(m.distance(a, b), topo.distance(m.node_of(a), m.node_of(b)));
+    fn distance_matches_ranked_network_on_every_pair() {
+        use sfc_topology::{Bus, Hypercube, Mesh2d, QuadtreeNet, RankedNetwork, Ring, Torus2d};
+        fn identity(t: impl Topology + 'static) -> RankedNetwork<Box<dyn Topology>> {
+            RankedNetwork::identity(Box::new(t))
         }
-    }
-
-    #[test]
-    fn oracle_and_closed_form_agree_on_every_pair() {
-        for kind in [
-            TopologyKind::Bus,
-            TopologyKind::Ring,
-            TopologyKind::Mesh,
-            TopologyKind::Torus,
-            TopologyKind::Quadtree,
-            TopologyKind::Hypercube,
-        ] {
-            for curve in [CurveKind::Hilbert, CurveKind::ZCurve] {
-                for p in [4u64, 16, 64, 256] {
-                    let cached = Machine::new(kind, p, curve);
-                    let plain = Machine::new(kind, p, curve).without_oracle();
-                    assert!(cached.has_oracle());
+        fn sfc(t: impl Topology + 'static, c: CurveKind) -> RankedNetwork<Box<dyn Topology>> {
+            RankedNetwork::with_sfc_ranks(Box::new(t), c)
+        }
+        for curve in [CurveKind::Hilbert, CurveKind::ZCurve] {
+            for level in 1..=4u32 {
+                let (p, side) = (1u64 << (2 * level), 1u64 << level);
+                for (kind, net) in [
+                    (TopologyKind::Bus, identity(Bus::new(p))),
+                    (TopologyKind::Ring, identity(Ring::new(p))),
+                    (TopologyKind::Mesh, sfc(Mesh2d::new(side, side), curve)),
+                    (TopologyKind::Torus, sfc(Torus2d::new(side, side), curve)),
+                    (TopologyKind::Quadtree, identity(QuadtreeNet::new(level))),
+                    (TopologyKind::Hypercube, identity(Hypercube::new(2 * level))),
+                ] {
+                    let m = Machine::new(kind, p, curve);
                     for a in 0..p as u32 {
                         for b in 0..p as u32 {
                             assert_eq!(
-                                cached.distance(a, b),
-                                plain.distance(a, b),
+                                m.distance(a, b),
+                                net.rank_distance(a.into(), b.into()),
                                 "{kind} {curve:?} P={p} {a}->{b}"
                             );
                         }
@@ -330,7 +268,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range for a machine with 16 ranks")]
     fn out_of_range_rank_panics_with_bounds_message() {
-        let m = Machine::grid(TopologyKind::Mesh, 16, CurveKind::Hilbert).without_oracle();
+        let m = Machine::grid(TopologyKind::Mesh, 16, CurveKind::Hilbert);
         let _ = m.distance(0, 99);
     }
 

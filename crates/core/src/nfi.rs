@@ -89,12 +89,7 @@ pub fn nfi_acd(
         .par_iter()
         .enumerate()
         .fold(NfiResult::default, |mut acc, (i, p)| {
-            // Hoist the per-particle invariants: the particle's rank and —
-            // when the machine carries the dense oracle — its whole
-            // distance row, so an exchange costs one indexed u16 load
-            // instead of a virtual distance call.
             let rank = asg.rank_of_index(i);
-            let row = machine.distance_row(rank);
             let x = p.x as i64;
             // The neighborhood is a stack of contiguous row segments: per
             // `dy`, `dx` spans `±r` (Chebyshev) or `±(r − |dy|)`
@@ -116,14 +111,14 @@ pub fn nfi_acd(
                 }
                 match asg.rank_row(ny as u32) {
                     Some(ranks) => {
-                        // Dense fast path: two indexed loads (rank slot +
-                        // oracle row) per occupied cell. `dy == 0` splits
-                        // around the particle's own cell.
+                        // Dense fast path: one indexed load per cell of the
+                        // segment. `dy == 0` splits around the particle's
+                        // own cell.
                         if dy == 0 {
-                            scan_segment(&ranks[lo as usize..x as usize], rank, row, machine, &mut acc);
-                            scan_segment(&ranks[(x + 1) as usize..=hi as usize], rank, row, machine, &mut acc);
+                            scan_segment(&ranks[lo as usize..x as usize], rank, machine, &mut acc);
+                            scan_segment(&ranks[(x + 1) as usize..=hi as usize], rank, machine, &mut acc);
                         } else {
-                            scan_segment(&ranks[lo as usize..=hi as usize], rank, row, machine, &mut acc);
+                            scan_segment(&ranks[lo as usize..=hi as usize], rank, machine, &mut acc);
                         }
                     }
                     None => {
@@ -135,15 +130,7 @@ pub fn nfi_acd(
                                 continue;
                             }
                             if let Some(other) = asg.rank_of_cell(nx as u32, ny as u32) {
-                                acc.num_comms += 1;
-                                if other == rank {
-                                    acc.local_comms += 1;
-                                } else {
-                                    acc.total_distance += match row {
-                                        Some(row) => u64::from(row[other as usize]),
-                                        None => machine.distance(rank, other),
-                                    };
-                                }
+                                exchange(rank, other, machine, &mut acc);
                             }
                         }
                     }
@@ -156,41 +143,25 @@ pub fn nfi_acd(
 }
 
 /// Accumulate one clipped row segment of the dense rank table into `acc`:
-/// every occupied slot is one directed exchange. With the oracle row in
-/// hand the accumulate is branchless past the occupancy test — the oracle's
-/// zero self-distance makes rank-local exchanges add nothing.
+/// every occupied slot is one directed exchange.
 #[inline]
-fn scan_segment(
-    seg: &[u32],
-    rank: u32,
-    row: Option<&[u16]>,
-    machine: &Machine,
-    acc: &mut NfiResult,
-) {
-    match row {
-        Some(row) => {
-            for &other in seg {
-                if other == GridIndex::EMPTY {
-                    continue;
-                }
-                acc.num_comms += 1;
-                acc.local_comms += u64::from(other == rank);
-                acc.total_distance += u64::from(row[other as usize]);
-            }
+fn scan_segment(seg: &[u32], rank: u32, machine: &Machine, acc: &mut NfiResult) {
+    for &other in seg {
+        if other != GridIndex::EMPTY {
+            exchange(rank, other, machine, acc);
         }
-        None => {
-            for &other in seg {
-                if other == GridIndex::EMPTY {
-                    continue;
-                }
-                acc.num_comms += 1;
-                if other == rank {
-                    acc.local_comms += 1;
-                } else {
-                    acc.total_distance += machine.distance(rank, other);
-                }
-            }
-        }
+    }
+}
+
+/// Record one directed exchange from `rank` to `other`. Rank-local
+/// exchanges cost nothing and skip the distance call.
+#[inline]
+fn exchange(rank: u32, other: u32, machine: &Machine, acc: &mut NfiResult) {
+    acc.num_comms += 1;
+    if other == rank {
+        acc.local_comms += 1;
+    } else {
+        acc.total_distance += machine.distance(rank, other);
     }
 }
 
@@ -342,7 +313,7 @@ mod tests {
     }
 
     /// The dense row-segment scan and the CellMap probe fallback produce
-    /// bit-identical results, with and without the distance oracle.
+    /// bit-identical results.
     #[test]
     fn dense_grid_on_and_off_agree() {
         let mut coords = Vec::new();
@@ -361,41 +332,15 @@ mod tests {
             let sparse = dense.clone().without_dense_grid();
             assert!(dense.has_dense_grid() && !sparse.has_dense_grid());
             for topo in [TopologyKind::Mesh, TopologyKind::Torus] {
-                let cached = Machine::grid(topo, 16, curve);
-                let plain = Machine::grid(topo, 16, curve).without_oracle();
+                let machine = Machine::grid(topo, 16, curve);
                 for norm in [Norm::Chebyshev, Norm::Manhattan] {
                     for radius in 1..=4 {
-                        let want = nfi_acd(&dense, &cached, radius, norm);
-                        assert_eq!(want, nfi_acd(&sparse, &cached, radius, norm));
-                        assert_eq!(want, nfi_acd(&dense, &plain, radius, norm));
-                        assert_eq!(want, nfi_acd(&sparse, &plain, radius, norm));
+                        assert_eq!(
+                            nfi_acd(&dense, &machine, radius, norm),
+                            nfi_acd(&sparse, &machine, radius, norm)
+                        );
                     }
                 }
-            }
-        }
-    }
-
-    /// The oracle fast path and the closed-form fallback produce
-    /// bit-identical results.
-    #[test]
-    fn oracle_on_and_off_agree() {
-        let mut coords = Vec::new();
-        for x in 0..8u32 {
-            for y in 0..8u32 {
-                coords.push((x, y));
-            }
-        }
-        let particles = pts(&coords);
-        let asg = Assignment::new(&particles, 3, CurveKind::Hilbert, 16);
-        let cached = Machine::grid(TopologyKind::Torus, 16, CurveKind::Hilbert);
-        let plain = Machine::grid(TopologyKind::Torus, 16, CurveKind::Hilbert).without_oracle();
-        for norm in [Norm::Chebyshev, Norm::Manhattan] {
-            for r in 1..=3 {
-                assert_eq!(
-                    nfi_acd(&asg, &cached, r, norm),
-                    nfi_acd(&asg, &plain, r, norm),
-                    "radius {r}"
-                );
             }
         }
     }

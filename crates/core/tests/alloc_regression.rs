@@ -13,9 +13,18 @@
 //! an integration test with its own crate root.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Per-thread, so tests running concurrently in this binary do not see
+    // each other's allocations. `const`-initialized with no destructor: the
+    // counter itself never allocates, so the allocator cannot recurse.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 struct CountingAllocator;
 
@@ -23,7 +32,7 @@ struct CountingAllocator;
 // side effect only.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -32,7 +41,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -40,10 +49,11 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
+/// Allocations made on the calling thread while `f` runs.
 fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
     let out = f();
-    (ALLOCS.load(Ordering::Relaxed) - before, out)
+    (ALLOCS.with(Cell::get) - before, out)
 }
 
 use sfc_core::assignment::Assignment;
@@ -69,16 +79,15 @@ fn workload() -> Vec<Point2> {
 }
 
 /// The workspace pins a sequential rayon stand-in, so every kernel below
-/// runs on this thread and the process-wide counter observes exactly the
-/// kernel's own allocations (tests in this file run in one binary, but only
-/// measured sections matter — each measurement is deltas around a closure).
+/// runs on the test's own thread and the per-thread counter observes
+/// exactly the kernel's allocations, whatever other tests run alongside.
 #[test]
 fn ffi_sweep_allocates_nothing_after_tree_build() {
     let particles = workload();
     let asg = Assignment::new(&particles, 4, CurveKind::Hilbert, 16);
     let machine = Machine::grid(TopologyKind::Torus, 16, CurveKind::Hilbert);
     let tree = OwnerTree::build(&asg);
-    // Warm-up call so lazily initialized state (oracle rows etc.) is built.
+    // Warm-up call so any lazily initialized state is built.
     let expected = ffi_acd_with_tree(&asg, &machine, &tree).unwrap();
     let (allocs, got) = allocations_during(|| ffi_acd_with_tree(&asg, &machine, &tree).unwrap());
     assert_eq!(got, expected);

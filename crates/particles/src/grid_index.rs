@@ -9,14 +9,13 @@
 //! so a radius-`r` neighborhood becomes a handful of contiguous row-segment
 //! scans instead of `O(r²)` independent probes.
 //!
-//! Like the hop-distance oracle in `sfc-core`, the table is capped
-//! ([`MAX_GRID_CELLS`]) and callers fall back to the `CellMap` silently
-//! above the cap — both paths produce bit-identical results.
+//! The table is capped ([`MAX_GRID_CELLS`]) and callers fall back to the
+//! `CellMap` silently above the cap — both paths produce bit-identical
+//! results.
 
 /// Cap on the dense table size, in cells. `1 << 24` cells is a
 /// `4096 × 4096` grid (order 12) at 4 bytes per slot — 64 MiB, comfortably
-/// resident alongside the distance oracle at the paper's full-size
-/// workloads. One order further would cost 256 MiB per live assignment,
+/// resident at the paper's full-size workloads. One order further would cost 256 MiB per live assignment,
 /// so larger grids silently keep the `CellMap` probe path instead.
 pub const MAX_GRID_CELLS: u64 = 1 << 24;
 

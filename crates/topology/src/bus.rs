@@ -59,12 +59,6 @@ impl Topology for Bus {
     fn num_links(&self) -> u64 {
         2 * (self.nodes - 1)
     }
-
-    fn fill_distance_row(&self, from: NodeId, row: &mut [u64]) {
-        for (b, slot) in row.iter_mut().enumerate() {
-            *slot = from.abs_diff(b as u64);
-        }
-    }
 }
 
 #[cfg(test)]

@@ -71,12 +71,6 @@ impl Topology for Hypercube {
         // Every node has `dim` neighbors; each directed link counted once.
         self.num_nodes() * self.dim as u64
     }
-
-    fn fill_distance_row(&self, from: NodeId, row: &mut [u64]) {
-        for (b, slot) in row.iter_mut().enumerate() {
-            *slot = (from ^ b as u64).count_ones() as u64;
-        }
-    }
 }
 
 #[cfg(test)]

@@ -101,22 +101,6 @@ pub trait Topology: Send + Sync {
     fn grid_side(&self) -> Option<u64> {
         None
     }
-
-    /// Fill `row[b] = distance(from, b)` for every node `b` in
-    /// `0 .. row.len()` (callers pass a `num_nodes()`-sized slice).
-    ///
-    /// This is the bulk entry point used to build dense distance tables: one
-    /// virtual call per *row* instead of one per *pair*, letting each
-    /// topology hoist the invariants of `from` (its grid position, its
-    /// Morton prefix, …) out of the scan. The default implementation just
-    /// loops over [`Topology::distance`]; every concrete topology overrides
-    /// it with the hoisted closed form, and the test suite checks the two
-    /// agree element for element.
-    fn fill_distance_row(&self, from: NodeId, row: &mut [u64]) {
-        for (b, slot) in row.iter_mut().enumerate() {
-            *slot = self.distance(from, b as NodeId);
-        }
-    }
 }
 
 /// Directed links contributed by the wrap-around rings of a torus: a ring
@@ -154,9 +138,6 @@ impl<T: Topology + ?Sized> Topology for &T {
     fn grid_side(&self) -> Option<u64> {
         (**self).grid_side()
     }
-    fn fill_distance_row(&self, from: NodeId, row: &mut [u64]) {
-        (**self).fill_distance_row(from, row)
-    }
 }
 
 impl Topology for Box<dyn Topology> {
@@ -181,9 +162,6 @@ impl Topology for Box<dyn Topology> {
     fn grid_side(&self) -> Option<u64> {
         (**self).grid_side()
     }
-    fn fill_distance_row(&self, from: NodeId, row: &mut [u64]) {
-        (**self).fill_distance_row(from, row)
-    }
 }
 
 #[cfg(test)]
@@ -201,46 +179,5 @@ mod tests {
         assert_eq!(boxed.grid_side(), None);
         let by_ref: &dyn Topology = &*boxed;
         assert_eq!(by_ref.distance(1, 2), 1);
-    }
-
-    #[test]
-    fn fill_distance_row_forwards_through_trait_objects() {
-        let boxed: Box<dyn Topology> = Box::new(Ring::new(8));
-        let mut row = vec![0u64; 8];
-        boxed.fill_distance_row(3, &mut row);
-        for b in 0..8u64 {
-            assert_eq!(row[b as usize], boxed.distance(3, b), "node {b}");
-        }
-        let by_ref: &dyn Topology = &*boxed;
-        let mut row2 = vec![0u64; 8];
-        by_ref.fill_distance_row(3, &mut row2);
-        assert_eq!(row, row2);
-    }
-
-    #[test]
-    fn fill_distance_row_overrides_match_pairwise_distance() {
-        let topos: Vec<Box<dyn Topology>> = vec![
-            Box::new(Bus::new(17)),
-            Box::new(Ring::new(13)),
-            Box::new(Mesh2d::new(5, 7)),
-            Box::new(Torus2d::new(6, 5)),
-            Box::new(QuadtreeNet::new(3)),
-            Box::new(Hypercube::new(5)),
-        ];
-        for topo in &topos {
-            let n = topo.num_nodes() as usize;
-            let mut row = vec![u64::MAX; n];
-            for from in 0..n as u64 {
-                topo.fill_distance_row(from, &mut row);
-                for b in 0..n as u64 {
-                    assert_eq!(
-                        row[b as usize],
-                        topo.distance(from, b),
-                        "{} row {from} node {b}",
-                        topo.name()
-                    );
-                }
-            }
-        }
     }
 }

@@ -13,10 +13,16 @@
 
 use crate::{NodeId, Topology, TopologyKind};
 
-/// Position decomposition shared by mesh and torus.
+/// Position decomposition shared by mesh and torus. Every machine the
+/// sweeps build has a power-of-two side (`p = 4^k` ranks), where a mask and
+/// a shift replace the two divisions on the hot distance path.
 #[inline]
 fn coords(node: NodeId, sx: u64) -> (u64, u64) {
-    (node % sx, node / sx)
+    if sx.is_power_of_two() {
+        (node & (sx - 1), node >> sx.trailing_zeros())
+    } else {
+        (node % sx, node / sx)
+    }
 }
 
 /// A 2-D mesh of `sx × sy` processors with orthogonal links.
@@ -110,21 +116,6 @@ impl Topology for Mesh2d {
     fn grid_side(&self) -> Option<u64> {
         (self.sx == self.sy).then_some(self.sx)
     }
-
-    fn fill_distance_row(&self, from: NodeId, row: &mut [u64]) {
-        // Hoist `from`'s decomposition and walk the grid row-major, tracking
-        // (x, y) incrementally instead of dividing per node.
-        let (fx, fy) = self.position(from);
-        let (mut x, mut y) = (0u64, 0u64);
-        for slot in row.iter_mut() {
-            *slot = fx.abs_diff(x) + fy.abs_diff(y);
-            x += 1;
-            if x == self.sx {
-                x = 0;
-                y += 1;
-            }
-        }
-    }
 }
 
 /// A 2-D torus: a mesh with wrap-around links in both dimensions.
@@ -213,21 +204,6 @@ impl Topology for Torus2d {
     fn grid_side(&self) -> Option<u64> {
         (self.sx == self.sy).then_some(self.sx)
     }
-
-    fn fill_distance_row(&self, from: NodeId, row: &mut [u64]) {
-        let (fx, fy) = self.position(from);
-        let (mut x, mut y) = (0u64, 0u64);
-        for slot in row.iter_mut() {
-            let dx = fx.abs_diff(x);
-            let dy = fy.abs_diff(y);
-            *slot = dx.min(self.sx - dx) + dy.min(self.sy - dy);
-            x += 1;
-            if x == self.sx {
-                x = 0;
-                y += 1;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -285,9 +261,20 @@ mod tests {
     }
 
     #[test]
+    fn coords_mask_path_matches_division() {
+        for sx in 1..=9u64 {
+            for node in 0..100u64 {
+                assert_eq!(coords(node, sx), (node % sx, node / sx), "side {sx} node {node}");
+            }
+        }
+    }
+
+    #[test]
     fn mesh_matches_bfs() {
-        let mesh = Mesh2d::new(5, 7);
-        check_against_bfs(&mesh, |a| mesh.neighbors(a));
+        for (sx, sy) in [(5u64, 7u64), (8, 4)] {
+            let mesh = Mesh2d::new(sx, sy);
+            check_against_bfs(&mesh, |a| mesh.neighbors(a));
+        }
     }
 
     #[test]

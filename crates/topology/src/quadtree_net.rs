@@ -92,21 +92,6 @@ impl Topology for QuadtreeNet {
         let tree_nodes = ((1u128 << (2 * (self.levels + 1))) - 1) / 3;
         (2 * (tree_nodes - 1)) as u64
     }
-
-    fn fill_distance_row(&self, from: NodeId, row: &mut [u64]) {
-        // Same LCA arithmetic as `distance`, with the per-pair branches
-        // flattened: the hop count is `2 * ceil((top_bit + 1) / 2)` where
-        // `top_bit` is the highest differing bit of the Morton ids.
-        for (b, slot) in row.iter_mut().enumerate() {
-            let diff = from ^ b as u64;
-            *slot = if diff == 0 {
-                0
-            } else {
-                let top_bit = 63 - diff.leading_zeros();
-                2 * (top_bit / 2 + 1) as u64
-            };
-        }
-    }
 }
 
 #[cfg(test)]

@@ -58,14 +58,6 @@ impl Topology for Ring {
     fn num_links(&self) -> u64 {
         2 * crate::ring_undirected_edges(self.nodes)
     }
-
-    fn fill_distance_row(&self, from: NodeId, row: &mut [u64]) {
-        let n = self.nodes;
-        for (b, slot) in row.iter_mut().enumerate() {
-            let d = from.abs_diff(b as u64);
-            *slot = d.min(n - d);
-        }
-    }
 }
 
 #[cfg(test)]
