@@ -19,13 +19,10 @@ use sfc_core::report::Table;
 use sfc_core::runner::SweepRunner;
 use sfc_core::{ArtifactKind, ExperimentSpec};
 
-/// Knobs that change how a sweep computes but never what it computes.
+/// Empty placeholder kept so existing callers of [`compute`] and
+/// [`run_radius_sweep`] compile unchanged; it selects nothing.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct ComputeOpts {
-    /// Skip the dense occupancy grid and probe the sparse cell index per
-    /// neighborhood cell (ablation; output bytes are identical either way).
-    pub no_dense_grid: bool,
-}
+pub struct ComputeOpts;
 
 /// The rendered artifact: everything below the banner line.
 #[derive(Debug, Clone)]
@@ -112,7 +109,7 @@ pub fn compute(
             } else {
                 Interaction::FarField
             };
-            let grids = run_tables(spec, opts, runner);
+            let grids = run_tables(spec, runner);
             for grid in &grids {
                 body.push_table(&render_grid(grid, which));
             }
@@ -131,7 +128,7 @@ pub fn compute(
             body.into_output(crate::results::anns_data(&sweeps))
         }
         ArtifactKind::Figure6 => {
-            let sweep = run_topology_sweep(spec, opts, runner);
+            let sweep = run_topology_sweep(spec, runner);
             for near_field in [true, false] {
                 body.push_table(&render_topology(&sweep, near_field));
             }
@@ -139,7 +136,7 @@ pub fn compute(
             body.into_output(crate::results::topology_data(&sweep))
         }
         ArtifactKind::Figure7 => {
-            let sweep = run_processor_sweep(spec, opts, runner);
+            let sweep = run_processor_sweep(spec, runner);
             for near_field in [true, false] {
                 body.push_table(&render_processors(&sweep, near_field));
             }
@@ -148,8 +145,8 @@ pub fn compute(
         ArtifactKind::Parametric => {
             let tables = [
                 run_radius_sweep(spec, opts, runner),
-                run_input_size_sweep(spec, opts, runner),
-                run_distribution_comparison(spec, opts, runner),
+                run_input_size_sweep(spec, runner),
+                run_distribution_comparison(spec, runner),
             ];
             for table in &tables {
                 body.push_table(table);
@@ -157,7 +154,7 @@ pub fn compute(
             body.into_output(crate::results::tables_data(&tables))
         }
         ArtifactKind::Extensions => {
-            let tables = crate::extensions::run_extensions(spec, opts, runner);
+            let tables = crate::extensions::run_extensions(spec, runner);
             for table in &tables {
                 body.push_table_plain(table);
             }
@@ -194,7 +191,7 @@ mod tests {
         ] {
             let out = compute(
                 &spec(artifact),
-                &ComputeOpts::default(),
+                &ComputeOpts,
                 &mut SweepRunner::ephemeral(),
             );
             assert!(!out.body_plain.is_empty(), "{artifact}: empty body");
@@ -208,12 +205,12 @@ mod tests {
     fn tables_render_the_requested_interaction() {
         let t1 = compute(
             &spec(ArtifactKind::Table1),
-            &ComputeOpts::default(),
+            &ComputeOpts,
             &mut SweepRunner::ephemeral(),
         );
         let t2 = compute(
             &spec(ArtifactKind::Table2),
-            &ComputeOpts::default(),
+            &ComputeOpts,
             &mut SweepRunner::ephemeral(),
         );
         assert!(t1.body_plain.contains("Table I (NFI)"));
@@ -226,33 +223,10 @@ mod tests {
     fn markdown_body_differs_only_in_format() {
         let out = compute(
             &spec(ArtifactKind::Figure5),
-            &ComputeOpts::default(),
+            &ComputeOpts,
             &mut SweepRunner::ephemeral(),
         );
         assert_ne!(out.body_plain, out.body_markdown);
         assert!(out.body_markdown.contains('|'));
-    }
-
-    #[test]
-    fn no_dense_grid_is_byte_identical() {
-        // The dense occupancy index is a pure fast path: every artifact
-        // that consumes assignments must render identical bytes without it.
-        for artifact in [ArtifactKind::Table1, ArtifactKind::Figure6] {
-            let dense = compute(
-                &spec(artifact),
-                &ComputeOpts::default(),
-                &mut SweepRunner::ephemeral(),
-            );
-            let sparse = compute(
-                &spec(artifact),
-                &ComputeOpts {
-                    no_dense_grid: true,
-                },
-                &mut SweepRunner::ephemeral(),
-            );
-            assert_eq!(dense.body_plain, sparse.body_plain, "{artifact}");
-            assert_eq!(dense.body_markdown, sparse.body_markdown, "{artifact}");
-            assert_eq!(dense.data, sparse.data, "{artifact}");
-        }
     }
 }

@@ -21,18 +21,16 @@
 //! message is heavy); the fixed 3-D and clustering side experiments are
 //! constants of the artifact family itself.
 
-use crate::artifact::ComputeOpts;
+use crate::cell::{acd_cell, TrialCache};
 use sfc_core::anns::{anns, anns_cyclic};
 use sfc_core::anns3d::anns3d;
 use sfc_core::clustering::average_clusters;
-use sfc_core::ffi::ffi_acd;
 use sfc_core::load::nfi_link_load;
 use sfc_core::model3d::{ffi_acd_3d, nfi_acd_3d, Assignment3, Machine3, Topology3Kind};
-use sfc_core::nfi::nfi_acd;
 use sfc_core::report::Table;
 use sfc_core::runner::{BatchCell, SweepRunner};
 use sfc_core::timing;
-use sfc_core::{ExperimentSpec, Machine};
+use sfc_core::{Assignment, ExperimentSpec, Machine};
 use sfc_curves::curve3d::Curve3dKind;
 use sfc_curves::point::Norm;
 use sfc_curves::CurveKind;
@@ -69,11 +67,7 @@ fn f0(v: f64) -> String {
 }
 
 /// Run the five extension studies, returning their tables in render order.
-pub fn run_extensions(
-    spec: &ExperimentSpec,
-    opts: &ComputeOpts,
-    runner: &mut SweepRunner,
-) -> Vec<Table> {
+pub fn run_extensions(spec: &ExperimentSpec, runner: &mut SweepRunner) -> Vec<Table> {
     // 1. Link congestion on the torus at the spec's (floored) Table I
     // configuration.
     let workload = spec.workload(spec.distributions[0]);
@@ -94,18 +88,18 @@ pub fn run_extensions(
             "imbalance",
         ],
     );
-    let particles = OnceLock::new();
+    // Congestion measures trial 0 of the workload, the closed-curve study
+    // (5.) trial 1.
+    let trials = TrialCache::new(&workload, 2);
     let congestion_cells: Vec<BatchCell> = spec
         .particle_curves
         .iter()
         .map(|&curve| {
-            let particles = &particles;
-            let workload = &workload;
+            let (trials, workload) = (&trials, &workload);
             BatchCell::new(format!("congestion/{}", curve.short_name()), move || {
-                let particles =
-                    timing::phase("sample", || particles.get_or_init(|| workload.particles(0)));
+                let particles = timing::phase("sample", || trials.get(0));
                 let asg = timing::phase("assign", || {
-                    crate::harness::assignment(opts, particles, workload.grid_order, curve, procs)
+                    Assignment::new(particles, workload.grid_order, curve, procs)
                 });
                 let machine = Machine::new(TopologyKind::Torus, procs, curve);
                 let load =
@@ -211,13 +205,8 @@ pub fn run_extensions(
         .particle_curves
         .iter()
         .map(|&curve| {
-            BatchCell::new(format!("metrics/{}", curve.short_name()), move || {
-                vec![
-                    average_clusters(curve, 6, 4),
-                    anns(curve, 6)
-                        .unwrap_or_else(|e| panic!("anns: {e}"))
-                        .average(),
-                ]
+            BatchCell::fallible(format!("metrics/{}", curve.short_name()), move || {
+                Ok(vec![average_clusters(curve, 6, 4), anns(curve, 6)?.average()])
             })
         })
         .collect();
@@ -236,34 +225,15 @@ pub fn run_extensions(
         &["Curve", "NFI ACD", "FFI ACD", "cyclic max stretch (64x64)"],
     );
     let closed_curves = [CurveKind::Hilbert, CurveKind::Moore];
-    let moore_particles = OnceLock::new();
     let moore_cells: Vec<BatchCell> = closed_curves
         .iter()
         .map(|&curve| {
-            let particles = &moore_particles;
-            let workload = &workload;
-            BatchCell::new(format!("moore/{}", curve.short_name()), move || {
-                let particles =
-                    timing::phase("sample", || particles.get_or_init(|| workload.particles(1)));
-                let asg = timing::phase("assign", || {
-                    crate::harness::assignment(opts, particles, workload.grid_order, curve, procs)
-                });
+            let trials = &trials;
+            BatchCell::fallible(format!("moore/{}", curve.short_name()), move || {
                 let machine = Machine::new(TopologyKind::Torus, procs, curve);
-                vec![
-                    timing::phase("nfi", || {
-                        nfi_acd(&asg, &machine, radius, norm)
-                            .unwrap_or_else(|e| panic!("nfi_acd: {e}"))
-                            .acd()
-                    }),
-                    timing::phase("ffi", || {
-                        ffi_acd(&asg, &machine)
-                            .unwrap_or_else(|e| panic!("ffi_acd: {e}"))
-                            .acd()
-                    }),
-                    anns_cyclic(curve, 6, 1, Norm::Manhattan)
-                        .unwrap_or_else(|e| panic!("anns_cyclic: {e}"))
-                        .max_stretch,
-                ]
+                let mut values = acd_cell(trials, 1, curve, procs, &[machine], radius, norm, true)?;
+                values.push(anns_cyclic(curve, 6, 1, Norm::Manhattan)?.max_stretch);
+                Ok(values)
             })
         })
         .collect();
@@ -281,11 +251,7 @@ mod tests {
     #[test]
     fn extensions_produce_five_tables() {
         let spec = ExperimentSpec::extensions(5, 1, 20130701);
-        let tables = run_extensions(
-            &spec,
-            &ComputeOpts::default(),
-            &mut SweepRunner::ephemeral(),
-        );
+        let tables = run_extensions(&spec, &mut SweepRunner::ephemeral());
         assert_eq!(tables.len(), 5);
         assert!(tables[0].title().contains("link congestion"));
         assert!(tables[4].title().contains("Moore"));

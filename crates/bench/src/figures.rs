@@ -8,18 +8,16 @@
 //! surface as `None` entries and render as `—`.
 
 use crate::artifact::ComputeOpts;
+use crate::cell::{acd_cell, TrialCache};
 use sfc_core::anns::anns_radius;
-use sfc_core::ffi::{ffi_acd_with_tree, OwnerTree};
-use sfc_core::nfi::nfi_acd;
 use sfc_core::report::Table;
 use sfc_core::runner::{BatchCell, CellResult, SweepRunner};
 use sfc_core::timing;
 use sfc_core::{ExperimentSpec, Machine, Stats};
 use sfc_curves::point::Norm;
-use sfc_curves::{CurveKind, Point2};
+use sfc_curves::CurveKind;
 use sfc_particles::Workload;
 use sfc_topology::TopologyKind;
-use std::sync::OnceLock;
 
 /// Format an optional mean to the paper's three decimals, `—` when the
 /// partial sweep left it uncomputed.
@@ -61,11 +59,9 @@ pub fn run_anns_sweep(radius: u32, orders: &[u32], runner: &mut SweepRunner) -> 
     for &curve in CurveKind::PAPER.iter() {
         for &order in &orders {
             let name = format!("r{radius}/{}/o{order}", curve.short_name());
-            cells.push(BatchCell::new(name, move || {
+            cells.push(BatchCell::fallible(name, move || {
                 timing::phase("anns", || {
-                    vec![anns_radius(curve, order, radius, Norm::Manhattan)
-                        .unwrap_or_else(|e| panic!("anns_radius: {e}"))
-                        .average()]
+                    Ok(vec![anns_radius(curve, order, radius, Norm::Manhattan)?.average()])
                 })
             }));
         }
@@ -129,49 +125,28 @@ pub const FIG6_RADIUS: u32 = 4;
 ///
 /// Cell `"t{trial}/{curve}"` produces twelve values: the (near-field,
 /// far-field) ACD pair on each of the six topologies, interleaved.
-pub fn run_topology_sweep(
-    spec: &ExperimentSpec,
-    opts: &ComputeOpts,
-    runner: &mut SweepRunner,
-) -> TopologySweep {
+pub fn run_topology_sweep(spec: &ExperimentSpec, runner: &mut SweepRunner) -> TopologySweep {
     let workload = spec.workload(spec.distributions[0]);
     let num_procs = spec.processors[0];
-    let radius = spec.radii[0];
-    let norm = spec.norm;
     let topologies: Vec<TopologyKind> = spec.topologies.clone();
     let nt = topologies.len();
 
-    let trial_particles: Vec<OnceLock<Vec<Point2>>> =
-        (0..spec.trials).map(|_| OnceLock::new()).collect();
+    let trials = TrialCache::new(&workload, spec.trials);
     let mut cells = Vec::with_capacity(spec.trials as usize * 4);
     for t in 0..spec.trials {
-        let particles = &trial_particles[t as usize];
         for &curve in spec.particle_curves.iter() {
             let name = format!("t{t}/{}", curve.short_name());
-            let workload = &workload;
-            let topologies = &topologies;
-            cells.push(BatchCell::new(name, move || {
-                let particles =
-                    timing::phase("sample", || particles.get_or_init(|| workload.particles(t)));
-                let asg = timing::phase("assign", || {
-                    crate::harness::assignment(opts, particles, workload.grid_order, curve, num_procs)
-                });
-                let tree = timing::phase("index", || OwnerTree::build(&asg));
-                let mut values = Vec::with_capacity(2 * nt);
-                for &topo in topologies {
-                    let machine = Machine::new(topo, num_procs, curve);
-                    values.push(timing::phase("nfi", || {
-                        nfi_acd(&asg, &machine, radius, norm)
-                            .unwrap_or_else(|e| panic!("nfi_acd: {e}"))
-                            .acd()
-                    }));
-                    values.push(timing::phase("ffi", || {
-                        ffi_acd_with_tree(&asg, &machine, &tree)
-                            .unwrap_or_else(|e| panic!("ffi_acd: {e}"))
-                            .acd()
-                    }));
-                }
-                values
+            let (trials, topologies) = (&trials, &topologies);
+            cells.push(BatchCell::fallible(name, move || {
+                let machines: Vec<Machine> = topologies
+                    .iter()
+                    .map(|&topo| Machine::new(topo, num_procs, curve))
+                    .collect();
+                let values =
+                    acd_cell(trials, t, curve, num_procs, &machines, spec.radii[0], spec.norm, true)?;
+                // Journaled layout: (nfi, ffi) interleaved per topology.
+                let (nfi, ffi) = values.split_at(nt);
+                Ok(nfi.iter().zip(ffi).flat_map(|(&n, &f)| [n, f]).collect())
             }));
         }
     }
@@ -243,50 +218,24 @@ pub struct ProcessorSweep {
 ///
 /// Cell `"t{trial}/{curve}/p{procs}"` produces the (near-field, far-field)
 /// ACD pair.
-pub fn run_processor_sweep(
-    spec: &ExperimentSpec,
-    opts: &ComputeOpts,
-    runner: &mut SweepRunner,
-) -> ProcessorSweep {
+pub fn run_processor_sweep(spec: &ExperimentSpec, runner: &mut SweepRunner) -> ProcessorSweep {
     let workload = spec.workload(spec.distributions[0]);
     // Paper scale: 256 .. 65,536 processors, shifted down with the
     // workload; the spec carries the resolved list in ascending order.
     let processors = spec.processors.clone();
     let topology = spec.topologies[0];
-    let radius = spec.radii[0];
-    let norm = spec.norm;
 
-    let trial_particles: Vec<OnceLock<Vec<Point2>>> =
-        (0..spec.trials).map(|_| OnceLock::new()).collect();
+    let trials = TrialCache::new(&workload, spec.trials);
     let np = processors.len();
     let mut cells = Vec::with_capacity(spec.trials as usize * 4 * np);
     for t in 0..spec.trials {
-        let particles = &trial_particles[t as usize];
         for &curve in spec.particle_curves.iter() {
             for &procs in &processors {
                 let name = format!("t{t}/{}/p{procs}", curve.short_name());
-                let workload = &workload;
-                cells.push(BatchCell::new(name, move || {
-                    let particles = timing::phase("sample", || {
-                        particles.get_or_init(|| workload.particles(t))
-                    });
-                    let asg = timing::phase("assign", || {
-                        crate::harness::assignment(opts, particles, workload.grid_order, curve, procs)
-                    });
-                    let tree = timing::phase("index", || OwnerTree::build(&asg));
+                let trials = &trials;
+                cells.push(BatchCell::fallible(name, move || {
                     let machine = Machine::new(topology, procs, curve);
-                    vec![
-                        timing::phase("nfi", || {
-                            nfi_acd(&asg, &machine, radius, norm)
-                            .unwrap_or_else(|e| panic!("nfi_acd: {e}"))
-                            .acd()
-                        }),
-                        timing::phase("ffi", || {
-                            ffi_acd_with_tree(&asg, &machine, &tree)
-                            .unwrap_or_else(|e| panic!("ffi_acd: {e}"))
-                            .acd()
-                        }),
-                    ]
+                    acd_cell(trials, t, curve, procs, &[machine], spec.radii[0], spec.norm, true)
                 }));
             }
         }
@@ -337,57 +286,28 @@ pub fn render_processors(sweep: &ProcessorSweep, near_field: bool) -> Table {
 // Section VI-C parametric studies
 // ---------------------------------------------------------------------------
 
-/// Per-trial particle sets of one workload, sampled lazily so replayed
-/// cells cost nothing. Thread-safe: the cells of one trial may run on
-/// different workers, and whichever asks first samples the set.
-struct TrialCache<'a> {
-    workload: &'a Workload,
-    sets: Vec<OnceLock<Vec<Point2>>>,
-}
-
-impl<'a> TrialCache<'a> {
-    fn new(workload: &'a Workload, trials: u64) -> Self {
-        TrialCache {
-            workload,
-            sets: (0..trials).map(|_| OnceLock::new()).collect(),
-        }
-    }
-
-    fn get(&self, t: u64) -> &[Point2] {
-        self.sets[t as usize].get_or_init(|| self.workload.particles(t))
-    }
-}
-
 /// NFI ACD as the neighborhood radius varies (torus, tied curves).
 /// Cell `"r{radius}/{curve}/t{trial}"` produces the single ACD value.
+///
+/// `_opts` is unused; the parameter is kept for existing callers.
 pub fn run_radius_sweep(
     spec: &ExperimentSpec,
-    opts: &ComputeOpts,
+    _opts: &ComputeOpts,
     runner: &mut SweepRunner,
 ) -> Table {
     let radii = &spec.radii;
     let workload = spec.workload(spec.distributions[0]);
     let num_procs = spec.processors[0];
-    let norm = spec.norm;
-    let cache = TrialCache::new(&workload, spec.trials);
+    let trials = TrialCache::new(&workload, spec.trials);
     let mut cells = Vec::with_capacity(radii.len() * 4 * spec.trials as usize);
     for &radius in radii {
         for &curve in &spec.particle_curves {
             for t in 0..spec.trials {
                 let name = format!("r{radius}/{}/t{t}", curve.short_name());
-                let cache = &cache;
-                let workload = &workload;
-                cells.push(BatchCell::new(name, move || {
-                    let particles = timing::phase("sample", || cache.get(t));
-                    let asg = timing::phase("assign", || {
-                        crate::harness::assignment(opts, particles, workload.grid_order, curve, num_procs)
-                    });
+                let trials = &trials;
+                cells.push(BatchCell::fallible(name, move || {
                     let machine = Machine::new(TopologyKind::Torus, num_procs, curve);
-                    vec![timing::phase("nfi", || {
-                        nfi_acd(&asg, &machine, radius, norm)
-                            .unwrap_or_else(|e| panic!("nfi_acd: {e}"))
-                            .acd()
-                    })]
+                    acd_cell(trials, t, curve, num_procs, &[machine], radius, spec.norm, false)
                 }));
             }
         }
@@ -417,16 +337,10 @@ fn collect_first_values(results: &[CellResult]) -> Vec<f64> {
 /// ACD as the input size varies at a fixed processor count (torus, tied
 /// curves); near- and far-field rendered as two column groups.
 /// Cell `"n{particles}/{curve}/t{trial}"` produces the (NFI, FFI) pair.
-pub fn run_input_size_sweep(
-    spec: &ExperimentSpec,
-    opts: &ComputeOpts,
-    runner: &mut SweepRunner,
-) -> Table {
+pub fn run_input_size_sweep(spec: &ExperimentSpec, runner: &mut SweepRunner) -> Table {
     let sizes: Vec<usize> = spec.particle_counts.iter().map(|&n| n as usize).collect();
     let base = spec.workload(spec.distributions[0]);
     let num_procs = spec.processors[0];
-    let radius = spec.radii[0];
-    let norm = spec.norm;
     let mut owned_headers: Vec<String> = vec!["Particles".into()];
     for c in &CurveKind::PAPER {
         owned_headers.push(c.short_name().to_string());
@@ -452,27 +366,10 @@ pub fn run_input_size_sweep(
         for &curve in &spec.particle_curves {
             for t in 0..spec.trials {
                 let name = format!("n{n}/{}/t{t}", curve.short_name());
-                let cache = &caches[si];
-                let workload = &workloads[si];
-                cells.push(BatchCell::new(name, move || {
-                    let particles = timing::phase("sample", || cache.get(t));
-                    let asg = timing::phase("assign", || {
-                        crate::harness::assignment(opts, particles, workload.grid_order, curve, num_procs)
-                    });
-                    let tree = timing::phase("index", || OwnerTree::build(&asg));
+                let trials = &caches[si];
+                cells.push(BatchCell::fallible(name, move || {
                     let machine = Machine::new(TopologyKind::Torus, num_procs, curve);
-                    vec![
-                        timing::phase("nfi", || {
-                            nfi_acd(&asg, &machine, radius, norm)
-                            .unwrap_or_else(|e| panic!("nfi_acd: {e}"))
-                            .acd()
-                        }),
-                        timing::phase("ffi", || {
-                            ffi_acd_with_tree(&asg, &machine, &tree)
-                            .unwrap_or_else(|e| panic!("ffi_acd: {e}"))
-                            .acd()
-                        }),
-                    ]
+                    acd_cell(trials, t, curve, num_procs, &[machine], spec.radii[0], spec.norm, true)
                 }));
             }
         }
@@ -501,14 +398,8 @@ pub fn run_input_size_sweep(
 /// the Section VI-C observation that NFI is best under uniform inputs while
 /// FFI barely distinguishes the distributions.
 /// Cell `"{distribution}/{curve}/t{trial}"` produces the (NFI, FFI) pair.
-pub fn run_distribution_comparison(
-    spec: &ExperimentSpec,
-    opts: &ComputeOpts,
-    runner: &mut SweepRunner,
-) -> Table {
+pub fn run_distribution_comparison(spec: &ExperimentSpec, runner: &mut SweepRunner) -> Table {
     let num_procs = spec.processors[0];
-    let radius = spec.radii[0];
-    let norm = spec.norm;
     let mut owned: Vec<String> = vec!["Distribution".into()];
     for c in &CurveKind::PAPER {
         owned.push(format!("{} (NFI)", c.short_name()));
@@ -533,27 +424,10 @@ pub fn run_distribution_comparison(
         for &curve in &spec.particle_curves {
             for t in 0..spec.trials {
                 let name = format!("{}/{}/t{t}", dist.kind, curve.short_name());
-                let cache = &caches[di];
-                let workload = &workloads[di];
-                cells.push(BatchCell::new(name, move || {
-                    let particles = timing::phase("sample", || cache.get(t));
-                    let asg = timing::phase("assign", || {
-                        crate::harness::assignment(opts, particles, workload.grid_order, curve, num_procs)
-                    });
-                    let tree = timing::phase("index", || OwnerTree::build(&asg));
+                let trials = &caches[di];
+                cells.push(BatchCell::fallible(name, move || {
                     let machine = Machine::new(TopologyKind::Torus, num_procs, curve);
-                    vec![
-                        timing::phase("nfi", || {
-                            nfi_acd(&asg, &machine, radius, norm)
-                            .unwrap_or_else(|e| panic!("nfi_acd: {e}"))
-                            .acd()
-                        }),
-                        timing::phase("ffi", || {
-                            ffi_acd_with_tree(&asg, &machine, &tree)
-                            .unwrap_or_else(|e| panic!("ffi_acd: {e}"))
-                            .acd()
-                        }),
-                    ]
+                    acd_cell(trials, t, curve, num_procs, &[machine], spec.radii[0], spec.norm, true)
                 }));
             }
         }
@@ -587,10 +461,6 @@ mod tests {
         ExperimentSpec::for_artifact(artifact, 5, 1, 3)
     }
 
-    fn opts() -> ComputeOpts {
-        ComputeOpts::default()
-    }
-
     #[test]
     fn anns_sweep_shape() {
         let sweep = run_anns_sweep(1, &[1, 2, 3, 4, 5], &mut SweepRunner::ephemeral());
@@ -614,7 +484,6 @@ mod tests {
     fn topology_sweep_runs_all_six() {
         let sweep = run_topology_sweep(
             &tiny_spec(sfc_core::ArtifactKind::Figure6),
-            &opts(),
             &mut SweepRunner::ephemeral(),
         );
         assert_eq!(sweep.topologies.len(), 6);
@@ -631,7 +500,6 @@ mod tests {
         // shrink as p grows (fixed workload).
         let sweep = run_processor_sweep(
             &tiny_spec(sfc_core::ArtifactKind::Figure7),
-            &opts(),
             &mut SweepRunner::ephemeral(),
         );
         assert!(sweep.processors.len() >= 2);
@@ -649,7 +517,7 @@ mod tests {
     fn radius_sweep_radii_increase_acd_weakly() {
         let mut spec = tiny_spec(sfc_core::ArtifactKind::Parametric);
         spec.radii = vec![1, 2];
-        let table = run_radius_sweep(&spec, &opts(), &mut SweepRunner::ephemeral());
+        let table = run_radius_sweep(&spec, &ComputeOpts, &mut SweepRunner::ephemeral());
         assert_eq!(table.num_rows(), 2);
     }
 
@@ -657,7 +525,6 @@ mod tests {
     fn distribution_comparison_rows() {
         let table = run_distribution_comparison(
             &tiny_spec(sfc_core::ArtifactKind::Parametric),
-            &opts(),
             &mut SweepRunner::ephemeral(),
         );
         assert_eq!(table.num_rows(), 3);
@@ -669,7 +536,7 @@ mod tests {
     fn input_size_sweep_rows() {
         let mut spec = tiny_spec(sfc_core::ArtifactKind::Parametric);
         spec.particle_counts = vec![200, 400];
-        let table = run_input_size_sweep(&spec, &opts(), &mut SweepRunner::ephemeral());
+        let table = run_input_size_sweep(&spec, &mut SweepRunner::ephemeral());
         assert_eq!(table.num_rows(), 2);
     }
 
@@ -685,7 +552,6 @@ mod tests {
         let mut runner = crate::harness::runner("figure7", &args);
         let sweep = run_processor_sweep(
             &tiny_spec(sfc_core::ArtifactKind::Figure7),
-            &opts(),
             &mut runner,
         );
         assert!(sweep.nfi.iter().flatten().all(|s| s.is_none()));

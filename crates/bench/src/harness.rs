@@ -13,8 +13,7 @@ use crate::args::SweepArgs;
 use crate::artifact::{compute, ArtifactOutput, ComputeOpts};
 use serde_json::{json, ToJson, Value};
 use sfc_core::runner::{ChaosInjector, RunnerOptions, SweepRunner, SweepSummary};
-use sfc_core::{ArtifactKind, Assignment, CachedArtifact, ExperimentSpec, ResultCache, TraceSink};
-use sfc_curves::{CurveKind, Point2};
+use sfc_core::{ArtifactKind, CachedArtifact, ExperimentSpec, ResultCache, TraceSink};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -56,10 +55,10 @@ pub mod error_kind {
 
 /// The configuration fingerprint stored in a journal header: a journal can
 /// only resume a sweep with the same scale, trials and seed. Chaos, budget,
-/// jobs, timing and dense-grid flags are deliberately excluded —
-/// interrupting a run with a different budget or thread count (or
-/// sabotaging it in a test) must not orphan the journal, and
-/// `--timing`/`--no-dense-grid` do not change any computed value.
+/// jobs and timing flags are deliberately excluded — interrupting a run
+/// with a different budget or thread count (or sabotaging it in a test)
+/// must not orphan the journal, and `--timing` does not change any
+/// computed value.
 pub fn fingerprint(args: &SweepArgs) -> Value {
     json!({
         "scale": args.scale,
@@ -97,20 +96,6 @@ pub fn runner(sweep: &str, args: &SweepArgs) -> SweepRunner {
             std::process::exit(2);
         }
     }
-}
-
-/// Build an assignment for a sweep cell, honoring `--no-dense-grid`: the
-/// default assignment carries the dense occupancy index, the flag keeps
-/// only the sparse cell map. Both produce identical values — the flag
-/// exists for ablation and byte-identity verification.
-pub fn assignment(
-    opts: &ComputeOpts,
-    particles: &[Point2],
-    grid_order: u32,
-    curve: CurveKind,
-    num_ranks: u64,
-) -> Assignment {
-    Assignment::with_dense_grid(particles, grid_order, curve, num_ranks, !opts.no_dense_grid)
 }
 
 /// Write the per-cell timing envelope to `--timing PATH` when set. Called
@@ -240,10 +225,7 @@ pub fn run_artifact_with(kind: ArtifactKind, args: &SweepArgs) {
     let banner = args.banner(kind.title());
     println!("{banner}");
     let mut runner = runner(kind.sweep_name(), args);
-    let opts = ComputeOpts {
-        no_dense_grid: args.no_dense_grid,
-    };
-    let out = compute(&spec, &opts, &mut runner);
+    let out = compute(&spec, &ComputeOpts, &mut runner);
     let summary = runner.finish();
     report(kind.sweep_name(), &summary);
     write_timing(kind.name(), args, &summary);

@@ -16,34 +16,8 @@ use crate::figures::{AnnsSweep, ProcessorSweep, TopologySweep};
 use crate::tables::CurvePairGrid;
 use serde_json::{json, Value};
 use sfc_core::runner::SweepSummary;
-use sfc_core::{ExperimentSpec, MetricsRegistry, Stats};
+use sfc_core::{ExperimentSpec, Stats};
 use sfc_curves::CurveKind;
-use std::sync::OnceLock;
-
-/// The bench process's metrics registry: dense-grid build accounting
-/// surfaced both in the `--timing` envelope and (for embedders) through the
-/// same [`MetricsRegistry`] interface `sfc-serve` exposes.
-pub fn bench_registry() -> &'static MetricsRegistry {
-    static REGISTRY: OnceLock<MetricsRegistry> = OnceLock::new();
-    REGISTRY.get_or_init(MetricsRegistry::new)
-}
-
-/// Refresh the registry's dense-grid gauges from the process-wide counters
-/// and return the pair `(dense_builds, cellmap_fallbacks)`.
-fn grid_index_gauges() -> (u64, u64) {
-    let registry = bench_registry();
-    let builds = registry.gauge(
-        "sfc_bench_dense_grid_builds",
-        "Assignments built with the dense occupancy index this process",
-    );
-    let fallbacks = registry.gauge(
-        "sfc_bench_cellmap_fallbacks",
-        "Assignments that fell back to the sparse cell map this process",
-    );
-    builds.set(sfc_core::assignment::dense_grid_builds());
-    fallbacks.set(sfc_core::assignment::cellmap_fallbacks());
-    (builds.get(), fallbacks.get())
-}
 
 fn stats_json(s: &Option<Stats>) -> Value {
     match s {
@@ -237,7 +211,6 @@ pub fn timing_json(artifact: &str, args: &SweepArgs, summary: &SweepSummary) -> 
             })
         })
         .collect();
-    let (dense_builds, cellmap_fallbacks) = grid_index_gauges();
     json!({
         "artifact": format!("{artifact}-timing"),
         "paper": "DeFord & Kalyanaraman, ICPP 2013",
@@ -247,11 +220,6 @@ pub fn timing_json(artifact: &str, args: &SweepArgs, summary: &SweepSummary) -> 
             "seed": args.seed,
         }),
         "jobs": args.jobs,
-        "dense_grid": !args.no_dense_grid,
-        "grid_index": json!({
-            "dense_builds": dense_builds,
-            "cellmap_fallbacks": cellmap_fallbacks,
-        }),
         "cells": cells,
     })
 }
@@ -280,7 +248,6 @@ pub fn write_json(path: &str, value: &Value) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::artifact::ComputeOpts;
     use crate::figures::run_anns_sweep;
     use crate::tables::run_distribution;
     use sfc_core::runner::{FailedCell, SweepRunner};
@@ -309,7 +276,6 @@ mod tests {
         let grid = run_distribution(
             DistributionKind::Uniform.default_params(),
             &spec,
-            &ComputeOpts::default(),
             &mut SweepRunner::ephemeral(),
         );
         let v = envelope("table1", &spec, &done(), grid_data(&[grid]));
@@ -396,13 +362,11 @@ mod tests {
         ));
         let v = timing_json("table1", &args, &summary);
         assert_eq!(v["artifact"], "table1-timing");
-        // No hop-distance table exists, and kernels run on the calling
-        // thread: the envelope reports neither.
-        assert_eq!(v["oracle"], Value::Null);
-        assert_eq!(v["rayon_threads"], Value::Null);
-        assert_eq!(v["dense_grid"], true);
-        assert!(v["grid_index"]["dense_builds"].as_u64().is_some());
-        assert!(v["grid_index"]["cellmap_fallbacks"].as_u64().is_some());
+        // No hop-distance table or alternative occupancy index exists, and
+        // kernels run on the calling thread: the envelope reports none.
+        for key in ["oracle", "rayon_threads", "dense_grid", "grid_index"] {
+            assert_eq!(v[key], Value::Null, "{key}");
+        }
         let cells = v["cells"].as_array().unwrap();
         assert_eq!(cells.len(), 2);
         assert_eq!(cells[0]["cell"], "Uniform/t0/H");
@@ -410,16 +374,6 @@ mod tests {
         assert_eq!(cells[0]["phases"][1]["phase"], "nfi");
         assert_eq!(cells[0]["phases"][1]["ms"], 7.25);
         assert_eq!(cells[1]["cell"], "Uniform/t0/Z");
-    }
-
-    #[test]
-    fn bench_registry_exports_grid_index_gauges() {
-        // timing_json refreshes the gauges from the process-wide counters;
-        // after one call both series scrape through the shared registry.
-        let _ = timing_json("table1", &tiny_args(), &SweepSummary::default());
-        let text = bench_registry().render_prometheus();
-        assert!(text.contains("sfc_bench_dense_grid_builds"), "{text}");
-        assert!(text.contains("sfc_bench_cellmap_fallbacks"), "{text}");
     }
 
     #[test]

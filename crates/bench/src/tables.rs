@@ -14,16 +14,12 @@
 //! owner tree) once and evaluates it against the four processor-order
 //! machines, so the work sharing matches the original monolithic loop.
 
-use crate::artifact::ComputeOpts;
-use sfc_core::ffi::{ffi_acd_with_tree, OwnerTree};
-use sfc_core::nfi::nfi_acd;
+use crate::cell::{acd_cell, TrialCache};
 use sfc_core::report::Table;
 use sfc_core::runner::{BatchCell, SweepRunner};
-use sfc_core::timing;
 use sfc_core::{ExperimentSpec, Machine, Stats};
 use sfc_curves::CurveKind;
 use sfc_particles::{Distribution, DistributionKind};
-use std::sync::OnceLock;
 
 /// Results of the 4 × 4 curve-pair grid for one distribution:
 /// `values[processor_curve][particle_curve]`. A cell is `None` when every
@@ -39,14 +35,10 @@ pub struct CurvePairGrid {
 }
 
 /// Run the Table I/II experiment for every distribution in the spec.
-pub fn run_tables(
-    spec: &ExperimentSpec,
-    opts: &ComputeOpts,
-    runner: &mut SweepRunner,
-) -> Vec<CurvePairGrid> {
+pub fn run_tables(spec: &ExperimentSpec, runner: &mut SweepRunner) -> Vec<CurvePairGrid> {
     spec.distributions
         .iter()
-        .map(|&dist| run_distribution(dist, spec, opts, runner))
+        .map(|&dist| run_distribution(dist, spec, runner))
         .collect()
 }
 
@@ -58,67 +50,35 @@ pub fn run_tables(
 pub fn run_distribution(
     dist: Distribution,
     spec: &ExperimentSpec,
-    opts: &ComputeOpts,
     runner: &mut SweepRunner,
 ) -> CurvePairGrid {
     let workload = spec.workload(dist);
     let num_procs = spec.processors[0];
-    let radius = spec.radii[0];
-    let norm = spec.norm;
     let machines: Vec<Machine> = spec
         .effective_processor_curves()
         .iter()
         .map(|&proc_curve| Machine::new(spec.topologies[0], num_procs, proc_curve))
         .collect();
 
-    // Per-trial particle sets, sampled lazily and shared by the trial's
-    // four cells (which may run on different worker threads): a fully
-    // replayed trial never materializes its particles.
-    let trial_particles: Vec<OnceLock<Vec<sfc_curves::point::Point2>>> =
-        (0..spec.trials).map(|_| OnceLock::new()).collect();
+    // A trial's four cells (which may run on different worker threads)
+    // share its particle set; a fully replayed trial never samples it.
+    let trials = TrialCache::new(&workload, spec.trials);
     let mut cells = Vec::with_capacity(spec.trials as usize * 4);
     for t in 0..spec.trials {
-        let particles = &trial_particles[t as usize];
         for &particle_curve in spec.particle_curves.iter() {
             let name = format!("{}/t{t}/{}", dist.kind, particle_curve.short_name());
-            let workload = &workload;
-            let machines = &machines;
-            cells.push(BatchCell::new(name, move || {
-                // Phase markers feed the `--timing` envelope; "sample" is
-                // only paid by the first of a trial's four cells (the rest
-                // hit the OnceLock).
-                let particles =
-                    timing::phase("sample", || particles.get_or_init(|| workload.particles(t)));
-                let asg = timing::phase("assign", || {
-                    crate::harness::assignment(
-                        opts,
-                        particles,
-                        workload.grid_order,
-                        particle_curve,
-                        num_procs,
-                    )
-                });
-                let tree = timing::phase("index", || OwnerTree::build(&asg));
-                let mut values = Vec::with_capacity(8);
-                timing::phase("nfi", || {
-                    for machine in machines {
-                        values.push(
-                            nfi_acd(&asg, machine, radius, norm)
-                                .unwrap_or_else(|e| panic!("nfi_acd: {e}"))
-                                .acd(),
-                        );
-                    }
-                });
-                timing::phase("ffi", || {
-                    for machine in machines {
-                        values.push(
-                            ffi_acd_with_tree(&asg, machine, &tree)
-                                .unwrap_or_else(|e| panic!("ffi_acd: {e}"))
-                                .acd(),
-                        );
-                    }
-                });
-                values
+            let (trials, machines) = (&trials, &machines);
+            cells.push(BatchCell::fallible(name, move || {
+                acd_cell(
+                    trials,
+                    t,
+                    particle_curve,
+                    num_procs,
+                    machines,
+                    spec.radii[0],
+                    spec.norm,
+                    true,
+                )
             }));
         }
     }
@@ -220,7 +180,6 @@ mod tests {
         run_distribution(
             dist.default_params(),
             &tiny_spec(),
-            &ComputeOpts::default(),
             &mut SweepRunner::ephemeral(),
         )
     }
@@ -281,7 +240,6 @@ mod tests {
         let grid = run_distribution(
             DistributionKind::Uniform.default_params(),
             &tiny_spec(),
-            &ComputeOpts::default(),
             &mut runner,
         );
         assert!(grid.nfi[0][0].is_none());

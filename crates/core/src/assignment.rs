@@ -9,31 +9,7 @@
 //! loops.
 
 use sfc_curves::{CurveKind, Point2};
-use sfc_particles::cellmap::{pack_cell, CellMap};
 use sfc_particles::GridIndex;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Process-wide count of assignments that built the dense [`GridIndex`]
-/// fast path (see [`dense_grid_builds`]).
-static DENSE_GRID_BUILDS: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide count of assignments that stayed on the sparse `CellMap`
-/// probe path (see [`cellmap_fallbacks`]).
-static CELLMAP_FALLBACKS: AtomicU64 = AtomicU64::new(0);
-
-/// How many assignments built the dense occupancy index since process
-/// start. Together with [`cellmap_fallbacks`] this feeds the `sfc_bench`
-/// observability gauges and the `--timing` envelope.
-pub fn dense_grid_builds() -> u64 {
-    DENSE_GRID_BUILDS.load(Ordering::Relaxed)
-}
-
-/// How many assignments used the `CellMap` probe path instead of the dense
-/// index — grids above the [`sfc_particles::MAX_GRID_CELLS`] cap or
-/// `--no-dense-grid` ablation runs.
-pub fn cellmap_fallbacks() -> u64 {
-    CELLMAP_FALLBACKS.load(Ordering::Relaxed)
-}
 
 /// Particles ordered by an SFC and distributed to processor ranks.
 #[derive(Debug, Clone)]
@@ -44,41 +20,30 @@ pub struct Assignment {
     chunk: usize,
     /// Particles sorted by their particle-order SFC index.
     particles: Vec<Point2>,
-    /// Rank of occupied cell, keyed by packed cell coordinates. Always
-    /// present: the fallback when the dense index is over-cap or ablated.
-    cell_rank: CellMap,
-    /// Dense occupancy fast path: one indexed load per cell query, whole
-    /// rows for segment scans. `None` above the cell cap (or when ablated);
-    /// both paths answer identically.
-    grid: Option<GridIndex>,
+    /// Dense occupancy table: one indexed load per cell query, whole rows
+    /// for segment scans.
+    grid: GridIndex,
 }
 
 impl Assignment {
     /// Order `particles` (distinct cells on a `2^grid_order`-sided grid) by
     /// `curve` and distribute them to `num_ranks` processors in consecutive
     /// chunks of `⌈n/p⌉`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty particle set, zero ranks, a grid order above
+    /// [`sfc_particles::MAX_GRID_ORDER`], or a particle that is outside the
+    /// grid or shares a cell with another.
     pub fn new(
         particles: &[Point2],
         grid_order: u32,
         curve: CurveKind,
         num_ranks: u64,
     ) -> Self {
-        Self::with_dense_grid(particles, grid_order, curve, num_ranks, true)
-    }
-
-    /// [`Assignment::new`] with explicit control over the dense occupancy
-    /// index: `dense = false` skips building it entirely (the
-    /// `--no-dense-grid` ablation), leaving every lookup on the `CellMap`
-    /// probe path. Results are bit-identical either way.
-    pub fn with_dense_grid(
-        particles: &[Point2],
-        grid_order: u32,
-        curve: CurveKind,
-        num_ranks: u64,
-        dense: bool,
-    ) -> Self {
         assert!(num_ranks >= 1, "at least one processor required");
         assert!(!particles.is_empty(), "at least one particle required");
+        let mut grid = GridIndex::new(grid_order);
         let side = 1u64 << grid_order;
         let mut sorted: Vec<(u64, Point2)> = particles
             .iter()
@@ -90,24 +55,11 @@ impl Assignment {
         sorted.sort_unstable_by_key(|&(idx, _)| idx);
         let n = sorted.len();
         let chunk = n.div_ceil(num_ranks as usize);
-        let mut cell_rank = CellMap::with_capacity(n);
-        // `GridIndex::new` is the cap gate: over-cap grids get `None` and
-        // silently keep the probe path.
-        let mut grid = if dense { GridIndex::new(grid_order) } else { None };
         let mut ordered = Vec::with_capacity(n);
         for (i, &(_, p)) in sorted.iter().enumerate() {
-            let rank = (i / chunk) as u32;
-            let prev = cell_rank.insert_first(pack_cell(p.x, p.y), rank);
-            assert!(prev.is_none(), "duplicate particle cell {p}");
-            if let Some(g) = &mut grid {
-                g.insert(p.x, p.y, rank);
-            }
+            assert!(!grid.is_occupied(p.x, p.y), "duplicate particle cell {p}");
+            grid.insert(p.x, p.y, (i / chunk) as u32);
             ordered.push(p);
-        }
-        if grid.is_some() {
-            DENSE_GRID_BUILDS.fetch_add(1, Ordering::Relaxed);
-        } else {
-            CELLMAP_FALLBACKS.fetch_add(1, Ordering::Relaxed);
         }
         Assignment {
             grid_order,
@@ -115,28 +67,19 @@ impl Assignment {
             num_ranks,
             chunk,
             particles: ordered,
-            cell_rank,
             grid,
         }
     }
 
-    /// Drop the dense occupancy index, forcing every cell query onto the
-    /// `CellMap` probe path (ablation and verification: both paths give
-    /// bit-identical results).
-    pub fn without_dense_grid(mut self) -> Self {
-        self.grid = None;
-        self
-    }
-
-    /// True if this assignment carries the dense occupancy fast path.
+    /// Always true: every assignment carries the dense occupancy table.
     pub fn has_dense_grid(&self) -> bool {
-        self.grid.is_some()
+        true
     }
 
-    /// Bytes held by the dense occupancy table, or 0 on the fallback path —
-    /// the memory-envelope number the `MAX_GRID_CELLS` cap bounds.
+    /// Bytes held by the dense occupancy table — the memory-envelope number
+    /// [`sfc_particles::MAX_GRID_ORDER`] bounds.
     pub fn dense_grid_bytes(&self) -> usize {
-        self.grid.as_ref().map_or(0, GridIndex::table_bytes)
+        self.grid.table_bytes()
     }
 
     /// Grid order `k` of the spatial resolution.
@@ -178,32 +121,24 @@ impl Assignment {
     }
 
     /// Rank owning the particle in cell `(x, y)`, or `None` if the cell is
-    /// empty. One indexed load on the dense fast path, a hash probe on the
-    /// fallback.
+    /// empty — one indexed load.
     #[inline]
     pub fn rank_of_cell(&self, x: u32, y: u32) -> Option<u32> {
-        match &self.grid {
-            Some(g) => g.rank_of(x, y),
-            None => self.cell_rank.get(pack_cell(x, y)),
-        }
+        self.grid.rank_of(x, y)
     }
 
     /// True if cell `(x, y)` holds a particle.
     #[inline]
     pub fn is_occupied(&self, x: u32, y: u32) -> bool {
-        match &self.grid {
-            Some(g) => g.is_occupied(x, y),
-            None => self.cell_rank.contains(pack_cell(x, y)),
-        }
+        self.grid.is_occupied(x, y)
     }
 
     /// The dense rank row at height `y` (`row[x]` is the owner of cell
-    /// `(x, y)` or [`GridIndex::EMPTY`]), or `None` on the fallback path.
-    /// Kernels use this to turn `O(r²)` per-cell probes into per-`dy`
-    /// contiguous row-segment scans.
+    /// `(x, y)` or [`GridIndex::EMPTY`]). Kernels use this to turn `O(r²)`
+    /// per-cell probes into per-`dy` contiguous row-segment scans.
     #[inline]
-    pub fn rank_row(&self, y: u32) -> Option<&[u32]> {
-        self.grid.as_ref().map(|g| g.rank_row(y))
+    pub fn rank_row(&self, y: u32) -> &[u32] {
+        self.grid.rank_row(y)
     }
 }
 
@@ -273,71 +208,15 @@ mod tests {
     }
 
     #[test]
-    fn small_assignments_carry_a_dense_grid_and_it_can_be_ablated() {
+    fn rank_rows_expose_owners_and_the_empty_sentinel() {
         let particles = pts(&[(0, 0), (1, 0), (3, 3)]);
         let asg = Assignment::new(&particles, 2, CurveKind::Hilbert, 2);
-        assert!(asg.has_dense_grid());
         assert_eq!(asg.dense_grid_bytes(), 4 * 4 * 4);
-        let row = asg.rank_row(0).unwrap();
+        let row = asg.rank_row(0);
         assert_eq!(row.len(), 4);
-        assert!(row[0] != u32::MAX && row[1] != u32::MAX);
-        assert_eq!(row[2], u32::MAX);
-
-        let ablated = asg.clone().without_dense_grid();
-        assert!(!ablated.has_dense_grid());
-        assert_eq!(ablated.dense_grid_bytes(), 0);
-        assert!(ablated.rank_row(0).is_none());
-        for x in 0..4 {
-            for y in 0..4 {
-                assert_eq!(asg.rank_of_cell(x, y), ablated.rank_of_cell(x, y));
-                assert_eq!(asg.is_occupied(x, y), ablated.is_occupied(x, y));
-            }
-        }
-    }
-
-    #[test]
-    fn dense_and_fallback_constructors_agree() {
-        let particles = pts(&[(0, 0), (5, 2), (7, 7), (3, 4), (1, 6)]);
-        let dense = Assignment::new(&particles, 3, CurveKind::ZCurve, 4);
-        let sparse = Assignment::with_dense_grid(&particles, 3, CurveKind::ZCurve, 4, false);
-        assert!(dense.has_dense_grid() && !sparse.has_dense_grid());
-        assert_eq!(dense.particles(), sparse.particles());
-        for x in 0..8 {
-            for y in 0..8 {
-                assert_eq!(dense.rank_of_cell(x, y), sparse.rank_of_cell(x, y));
-            }
-        }
-    }
-
-    #[test]
-    fn above_the_cell_cap_the_fallback_is_automatic_and_identical() {
-        // Order 13 is one past the 1 << 24 cell cap: the dense table would
-        // be 256 MiB, so the assignment silently keeps the CellMap.
-        let particles = pts(&[(0, 0), (8191, 8191), (4096, 17)]);
-        let asg = Assignment::new(&particles, 13, CurveKind::Hilbert, 3);
-        assert!(!asg.has_dense_grid());
-        assert!(asg.rank_row(0).is_none());
-        for &p in &particles {
-            assert!(asg.is_occupied(p.x, p.y));
-        }
-        assert_eq!(asg.rank_of_cell(123, 456), None);
-        // Just below is order 12, which builds the table.
-        let small = Assignment::new(&pts(&[(0, 0)]), 12, CurveKind::Hilbert, 1);
-        assert!(small.has_dense_grid());
-        assert_eq!(small.dense_grid_bytes(), 64 << 20);
-    }
-
-    #[test]
-    fn build_counters_track_dense_and_fallback_paths() {
-        let particles = pts(&[(0, 0), (1, 1)]);
-        let b0 = dense_grid_builds();
-        let f0 = cellmap_fallbacks();
-        let _dense = Assignment::new(&particles, 2, CurveKind::Hilbert, 1);
-        let _ablated = Assignment::with_dense_grid(&particles, 2, CurveKind::Hilbert, 1, false);
-        // Counters are process-wide and tests run concurrently, so assert
-        // monotone growth rather than exact values.
-        assert!(dense_grid_builds() > b0);
-        assert!(cellmap_fallbacks() > f0);
+        assert_eq!(row[0], asg.rank_of_cell(0, 0).unwrap());
+        assert_eq!(row[1], asg.rank_of_cell(1, 0).unwrap());
+        assert_eq!(row[2], GridIndex::EMPTY);
     }
 
     #[test]
@@ -352,5 +231,11 @@ mod tests {
     fn out_of_grid_rejected() {
         let particles = pts(&[(4, 0)]);
         let _ = Assignment::new(&particles, 2, CurveKind::Hilbert, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the maximum of 12")]
+    fn grid_order_above_the_cap_rejected() {
+        let _ = Assignment::new(&pts(&[(0, 0)]), 13, CurveKind::Hilbert, 1);
     }
 }

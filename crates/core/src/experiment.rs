@@ -22,7 +22,7 @@ use crate::nfi::{nfi_acd, NfiResult};
 use crate::stats::Stats;
 use sfc_curves::point::Norm;
 use sfc_curves::CurveKind;
-use sfc_particles::Workload;
+use sfc_particles::{Workload, MAX_GRID_ORDER};
 use sfc_topology::TopologyKind;
 
 /// A fully specified ACD experiment.
@@ -79,7 +79,8 @@ impl AcdExperiment {
 
     /// Check every parameter before any work happens: processor count a
     /// power of four, workload satisfiable (grid order in range, particle
-    /// count within the grid's capacity), near-field radius smaller than
+    /// count within the grid's capacity), grid order within the dense
+    /// occupancy table's [`MAX_GRID_ORDER`], near-field radius smaller than
     /// the grid side, at least one trial. Misconfigurations surface as
     /// typed [`SfcError`]s a sweep harness can record instead of panicking
     /// deep inside a run.
@@ -92,6 +93,12 @@ impl AcdExperiment {
             });
         }
         self.workload.validate()?;
+        if self.workload.grid_order > MAX_GRID_ORDER {
+            return Err(SfcError::OrderTooLarge {
+                order: self.workload.grid_order,
+                max_order: MAX_GRID_ORDER,
+            });
+        }
         if u64::from(self.radius) >= self.workload.side() {
             return Err(SfcError::RadiusExceedsGrid {
                 radius: self.radius,

@@ -379,15 +379,6 @@ mod tests {
     }
 
     #[test]
-    fn dense_grid_on_and_off_agree() {
-        let particles = pts(&[(0, 0), (3, 3), (5, 5), (7, 0), (2, 6), (6, 2), (1, 7)]);
-        let dense = Assignment::new(&particles, 3, CurveKind::Gray, 16);
-        let sparse = dense.clone().without_dense_grid();
-        let machine = Machine::grid(TopologyKind::Mesh, 16, CurveKind::Gray);
-        assert_eq!(ffi_acd(&dense, &machine), ffi_acd(&sparse, &machine));
-    }
-
-    #[test]
     fn level_entries_are_sorted_borrowed_slices() {
         let particles = pts(&[(5, 5), (0, 0), (7, 1), (2, 6), (3, 3)]);
         let asg = Assignment::new(&particles, 3, CurveKind::Hilbert, 4);

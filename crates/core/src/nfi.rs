@@ -109,31 +109,14 @@ pub fn nfi_acd(
                 if lo > hi {
                     continue;
                 }
-                match asg.rank_row(ny as u32) {
-                    Some(ranks) => {
-                        // Dense fast path: one indexed load per cell of the
-                        // segment. `dy == 0` splits around the particle's
-                        // own cell.
-                        if dy == 0 {
-                            scan_segment(&ranks[lo as usize..x as usize], rank, machine, &mut acc);
-                            scan_segment(&ranks[(x + 1) as usize..=hi as usize], rank, machine, &mut acc);
-                        } else {
-                            scan_segment(&ranks[lo as usize..=hi as usize], rank, machine, &mut acc);
-                        }
-                    }
-                    None => {
-                        // Fallback (over-cap grid or `--no-dense-grid`):
-                        // probe the CellMap per cell of the same clipped
-                        // segment. Identical visit set, identical sums.
-                        for nx in lo..=hi {
-                            if dy == 0 && nx == x {
-                                continue;
-                            }
-                            if let Some(other) = asg.rank_of_cell(nx as u32, ny as u32) {
-                                exchange(rank, other, machine, &mut acc);
-                            }
-                        }
-                    }
+                // One indexed load per cell of the segment. `dy == 0`
+                // splits around the particle's own cell.
+                let ranks = asg.rank_row(ny as u32);
+                if dy == 0 {
+                    scan_segment(&ranks[lo as usize..x as usize], rank, machine, &mut acc);
+                    scan_segment(&ranks[(x + 1) as usize..=hi as usize], rank, machine, &mut acc);
+                } else {
+                    scan_segment(&ranks[lo as usize..=hi as usize], rank, machine, &mut acc);
                 }
             }
             acc
@@ -312,13 +295,31 @@ mod tests {
         }
     }
 
-    /// The dense row-segment scan and the CellMap probe fallback produce
-    /// bit-identical results.
+    /// O(n²) reference: every ordered pair of distinct particles within
+    /// `radius` under `norm` is one directed exchange.
+    fn brute_force_nfi(asg: &Assignment, machine: &Machine, radius: u32, norm: Norm) -> NfiResult {
+        let mut acc = NfiResult::default();
+        for (i, a) in asg.particles().iter().enumerate() {
+            for (j, b) in asg.particles().iter().enumerate() {
+                let (dx, dy) = (a.x.abs_diff(b.x), a.y.abs_diff(b.y));
+                let d = match norm {
+                    Norm::Chebyshev => dx.max(dy),
+                    Norm::Manhattan => dx + dy,
+                };
+                if i != j && d <= radius {
+                    exchange(asg.rank_of_index(i), asg.rank_of_index(j), machine, &mut acc);
+                }
+            }
+        }
+        acc
+    }
+
+    /// The row-segment scan agrees with the pairwise definition.
     #[test]
-    fn dense_grid_on_and_off_agree() {
+    fn row_scan_matches_brute_force_pairs() {
         let mut coords = Vec::new();
-        // An irregular blob so boundary clipping, empty cells and both
-        // scan paths are all exercised.
+        // An irregular blob so boundary clipping and empty cells inside the
+        // neighborhoods are both exercised.
         for x in 0..8u32 {
             for y in 0..8u32 {
                 if (x * 7 + y * 3) % 5 != 0 {
@@ -328,16 +329,15 @@ mod tests {
         }
         let particles = pts(&coords);
         for curve in [CurveKind::Hilbert, CurveKind::ZCurve, CurveKind::RowMajor] {
-            let dense = Assignment::new(&particles, 3, curve, 16);
-            let sparse = dense.clone().without_dense_grid();
-            assert!(dense.has_dense_grid() && !sparse.has_dense_grid());
+            let asg = Assignment::new(&particles, 3, curve, 16);
             for topo in [TopologyKind::Mesh, TopologyKind::Torus] {
                 let machine = Machine::grid(topo, 16, curve);
                 for norm in [Norm::Chebyshev, Norm::Manhattan] {
                     for radius in 1..=4 {
                         assert_eq!(
-                            nfi_acd(&dense, &machine, radius, norm),
-                            nfi_acd(&sparse, &machine, radius, norm)
+                            nfi_acd(&asg, &machine, radius, norm),
+                            Ok(brute_force_nfi(&asg, &machine, radius, norm)),
+                            "{curve:?} {topo:?} {norm:?} r={radius}"
                         );
                     }
                 }

@@ -24,12 +24,16 @@
 //! Cells that still panic after the retries become structured
 //! [`SfcError::CellFailed`] values in the [`SweepSummary`] — the sweep keeps
 //! going and reports them at the end, rather than aborting a multi-hour run
-//! on the last configuration. Journal *write* failures are not silently
-//! swallowed: the summary records a `journal_degraded` flag on the first
-//! failed write, and once [`MAX_JOURNAL_WRITE_FAILURES`] consecutive writes
-//! fail the journal is declared dead and every subsequent cell returns a
-//! hard [`SfcError::JournalIo`] instead of computing results whose coverage
-//! the journal would falsely claim on resume.
+//! on the last configuration. A cell that *returns* a typed [`SfcError`]
+//! fails after one attempt with that error: it is a deterministic function
+//! of the configuration, so a retry cannot change it.
+//!
+//! Journal *write* failures are not silently swallowed: the summary records
+//! a `journal_degraded` flag on the first failed write, and once
+//! [`MAX_JOURNAL_WRITE_FAILURES`] consecutive writes fail the journal is
+//! declared dead and every subsequent cell returns a hard
+//! [`SfcError::JournalIo`] instead of computing results whose coverage the
+//! journal would falsely claim on resume.
 
 use crate::error::SfcError;
 use crate::journal::{CellOutcome, Journal};
@@ -113,9 +117,10 @@ pub enum CellResult {
     Computed(Vec<f64>),
     /// Replayed from the journal without recomputation.
     Replayed(Vec<f64>),
-    /// Panicked on every attempt ([`SfcError::CellFailed`]), or refused
-    /// because the journal died ([`SfcError::JournalIo`]); the sweep
-    /// continues without it.
+    /// Panicked on every attempt ([`SfcError::CellFailed`]), returned the
+    /// kernel's own typed error, refused because the journal died
+    /// ([`SfcError::JournalIo`]), or replayed as failed from the journal
+    /// ([`SfcError::CellFailed`]); the sweep continues without it.
     Failed(SfcError),
     /// Not started: the time budget was exhausted.
     Skipped,
@@ -131,6 +136,9 @@ impl CellResult {
     }
 }
 
+/// The fallible body of a [`BatchCell`].
+type CellWork<'s> = Box<dyn Fn() -> Result<Vec<f64>, SfcError> + Send + Sync + 's>;
+
 /// One named unit of sweep work, for batch submission via
 /// [`SweepRunner::run_cells`]. The closure must be callable repeatedly
 /// (retries) from any worker thread, and must be a pure function of the
@@ -138,12 +146,22 @@ impl CellResult {
 /// thread computes them.
 pub struct BatchCell<'s> {
     name: String,
-    work: Box<dyn Fn() -> Vec<f64> + Send + Sync + 's>,
+    work: CellWork<'s>,
 }
 
 impl<'s> BatchCell<'s> {
-    /// Package one named cell.
+    /// Package one named cell that cannot fail short of panicking.
     pub fn new<F: Fn() -> Vec<f64> + Send + Sync + 's>(name: impl Into<String>, work: F) -> Self {
+        Self::fallible(name, move || Ok(work()))
+    }
+
+    /// Package one named cell whose kernels report typed errors. An `Err`
+    /// fails the cell after one attempt and is kept as its
+    /// [`CellResult::Failed`] error.
+    pub fn fallible<F>(name: impl Into<String>, work: F) -> Self
+    where
+        F: Fn() -> Result<Vec<f64>, SfcError> + Send + Sync + 's,
+    {
         BatchCell {
             name: name.into(),
             work: Box::new(work),
@@ -167,8 +185,8 @@ impl std::fmt::Debug for BatchCell<'_> {
 pub struct FailedCell {
     /// Cell name.
     pub cell: String,
-    /// Captured panic message of the final attempt, or the journal error
-    /// that refused the cell.
+    /// Captured panic message of the final attempt, the cell's typed
+    /// error, or the journal error that refused the cell.
     pub error: String,
     /// Attempts made (0 when the cell never ran).
     pub attempts: u32,
@@ -310,8 +328,9 @@ impl BatchCtx<'_, '_> {
     }
 
     /// Execute one cell: journal-health gate, budget gate, then the bounded
-    /// retry loop under `catch_unwind`. A computed cell also returns the
-    /// wall time and phase breakdown of its successful attempt.
+    /// retry loop under `catch_unwind`. Only panics are retried; a typed
+    /// error fails the cell at once. A computed cell also returns the wall
+    /// time and phase breakdown of its successful attempt.
     fn run_one(&self, cell: &BatchCell<'_>) -> (CellResult, Option<CellTiming>) {
         if let Some(err) = self.journal_dead() {
             return (CellResult::Failed(err), None);
@@ -337,13 +356,24 @@ impl BatchCtx<'_, '_> {
                 (cell.work)()
             }));
             match result {
-                Ok(values) => {
+                Ok(Ok(values)) => {
                     let cell_timing = CellTiming {
                         wall_ms: attempt_started.elapsed().as_secs_f64() * 1e3,
                         phases: timing::take_recording(),
                     };
                     self.record(&cell.name, CellOutcome::Ok(values.clone()));
                     return (CellResult::Computed(values), Some(cell_timing));
+                }
+                Ok(Err(err)) => {
+                    let _ = timing::take_recording();
+                    self.record(
+                        &cell.name,
+                        CellOutcome::Failed {
+                            error: err.to_string(),
+                            attempts: 1,
+                        },
+                    );
+                    return (CellResult::Failed(err), None);
                 }
                 Err(payload) => last_error = panic_message(payload.as_ref()),
             }
@@ -528,11 +558,16 @@ impl SweepRunner {
                     error: error.clone(),
                     attempts: *attempts,
                 }),
-                CellResult::Failed(other) => self.summary.failed.push(FailedCell {
-                    cell: cells[i].name.clone(),
-                    error: other.to_string(),
-                    attempts: 0,
-                }),
+                CellResult::Failed(other) => {
+                    // A dead journal refuses the cell before it runs; any
+                    // other error is the cell's own, from its one attempt.
+                    let attempts = if matches!(other, SfcError::JournalIo { .. }) { 0 } else { 1 };
+                    self.summary.failed.push(FailedCell {
+                        cell: cells[i].name.clone(),
+                        error: other.to_string(),
+                        attempts,
+                    });
+                }
                 CellResult::Skipped => self.summary.skipped.push(cells[i].name.clone()),
             }
             out.push(result);

@@ -844,6 +844,13 @@ mod tests {
             bad.validate(),
             Err(SfcError::NonPowerOfFourProcessors { num_processors: 48 })
         ));
+        // One order past the dense occupancy table's 4096x4096 cap.
+        let mut too_fine = ExperimentSpec::table1(4, 1, 7);
+        too_fine.grid_order = 13;
+        assert_eq!(
+            too_fine.validate(),
+            Err(SfcError::OrderTooLarge { order: 13, max_order: 12 })
+        );
         let mut bad_order = ExperimentSpec::figure5(0, 1, 7);
         bad_order.orders.push(40);
         assert!(matches!(

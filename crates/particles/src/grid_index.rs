@@ -9,15 +9,14 @@
 //! so a radius-`r` neighborhood becomes a handful of contiguous row-segment
 //! scans instead of `O(r²)` independent probes.
 //!
-//! The table is capped ([`MAX_GRID_CELLS`]) and callers fall back to the
-//! `CellMap` silently above the cap — both paths produce bit-identical
-//! results.
+//! The table is capped at [`MAX_GRID_ORDER`]; experiment validation
+//! rejects larger grids with a typed error before any table is allocated.
 
-/// Cap on the dense table size, in cells. `1 << 24` cells is a
-/// `4096 × 4096` grid (order 12) at 4 bytes per slot — 64 MiB, comfortably
-/// resident at the paper's full-size workloads. One order further would cost 256 MiB per live assignment,
-/// so larger grids silently keep the `CellMap` probe path instead.
-pub const MAX_GRID_CELLS: u64 = 1 << 24;
+/// Largest supported grid order. A `4096 × 4096` grid (order 12, Figure 6's
+/// resolution) at 4 bytes per slot is 64 MiB, comfortably resident at the
+/// paper's full-size workloads. One order further would cost 256 MiB per
+/// live assignment.
+pub const MAX_GRID_ORDER: u32 = 12;
 
 /// A flat `side × side` occupancy table mapping every grid cell to the rank
 /// owning its particle, or [`GridIndex::EMPTY`] for unoccupied cells.
@@ -33,20 +32,22 @@ impl GridIndex {
     /// this sentinel; real machines top out at far smaller rank counts.
     pub const EMPTY: u32 = u32::MAX;
 
-    /// Allocate an all-empty index for a `2^grid_order`-sided grid, or
-    /// `None` when the table would exceed [`MAX_GRID_CELLS`] — the caller
-    /// keeps its sparse index in that case.
-    pub fn new(grid_order: u32) -> Option<GridIndex> {
-        let side = 1u64 << grid_order;
-        if side.checked_mul(side).is_none_or(|cells| cells > MAX_GRID_CELLS) {
-            return None;
-        }
-        let cells = (side * side) as usize;
-        Some(GridIndex {
-            side: side as usize,
+    /// Allocate an all-empty index for a `2^grid_order`-sided grid.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grid_order` exceeds [`MAX_GRID_ORDER`].
+    pub fn new(grid_order: u32) -> GridIndex {
+        assert!(
+            grid_order <= MAX_GRID_ORDER,
+            "grid order {grid_order} exceeds the maximum of {MAX_GRID_ORDER}"
+        );
+        let side = 1usize << grid_order;
+        GridIndex {
+            side,
             len: 0,
-            ranks: vec![Self::EMPTY; cells].into_boxed_slice(),
-        })
+            ranks: vec![Self::EMPTY; side * side].into_boxed_slice(),
+        }
     }
 
     /// Record `rank` as the owner of cell `(x, y)`.
@@ -107,7 +108,7 @@ impl GridIndex {
     }
 
     /// Bytes held by the dense table — the memory-envelope number the cap
-    /// bounds (at most 4 × [`MAX_GRID_CELLS`] = 64 MiB).
+    /// bounds (at most 64 MiB, at [`MAX_GRID_ORDER`]).
     pub fn table_bytes(&self) -> usize {
         self.ranks.len() * std::mem::size_of::<u32>()
     }
@@ -129,7 +130,7 @@ mod tests {
 
     #[test]
     fn insert_and_lookup() {
-        let mut g = GridIndex::new(3).unwrap();
+        let mut g = GridIndex::new(3);
         assert!(g.is_empty());
         g.insert(1, 2, 7);
         g.insert(0, 0, 3);
@@ -143,7 +144,7 @@ mod tests {
 
     #[test]
     fn rank_rows_expose_the_sentinel() {
-        let mut g = GridIndex::new(2).unwrap();
+        let mut g = GridIndex::new(2);
         g.insert(1, 1, 5);
         g.insert(3, 1, 0);
         let row = g.rank_row(1);
@@ -154,20 +155,21 @@ mod tests {
 
     #[test]
     fn cap_math_and_envelope() {
-        // Order 12 is exactly the cap: 4096² = 1 << 24 cells, 64 MiB.
-        let g = GridIndex::new(12).unwrap();
+        // Order 12 is exactly the cap: 4096² cells, 64 MiB.
+        let g = GridIndex::new(MAX_GRID_ORDER);
         assert_eq!(g.table_bytes(), 64 << 20);
-        assert_eq!(g.table_bytes() as u64, 4 * MAX_GRID_CELLS);
-        // Order 13 would be 256 MiB: refused, callers keep the CellMap.
-        assert!(GridIndex::new(13).is_none());
-        // Absurd orders must not overflow the size computation.
-        assert!(GridIndex::new(31).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the maximum of 12")]
+    fn orders_above_the_cap_rejected() {
+        let _ = GridIndex::new(13);
     }
 
     #[test]
     #[should_panic(expected = "already occupied")]
     fn double_insert_rejected() {
-        let mut g = GridIndex::new(2).unwrap();
+        let mut g = GridIndex::new(2);
         g.insert(1, 1, 0);
         g.insert(1, 1, 1);
     }
@@ -175,20 +177,20 @@ mod tests {
     #[test]
     #[should_panic(expected = "reserved empty sentinel")]
     fn sentinel_rank_rejected() {
-        let mut g = GridIndex::new(2).unwrap();
+        let mut g = GridIndex::new(2);
         g.insert(0, 0, u32::MAX);
     }
 
     #[test]
     #[should_panic(expected = "outside")]
     fn out_of_grid_rejected() {
-        let mut g = GridIndex::new(2).unwrap();
+        let mut g = GridIndex::new(2);
         g.insert(4, 0, 1);
     }
 
     #[test]
     fn debug_is_a_summary_not_a_dump() {
-        let g = GridIndex::new(5).unwrap();
+        let g = GridIndex::new(5);
         let dbg = format!("{g:?}");
         assert!(dbg.contains("side: 32"));
         assert!(dbg.contains("occupied: 0"));

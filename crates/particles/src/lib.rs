@@ -10,10 +10,9 @@
 //! of `n` *distinct* grid cells. Samplers are deterministic given a seed.
 //!
 //! The crate also provides [`CellMap`], an open-addressing hash table keyed
-//! by packed cell coordinates. The near-field ACD computation probes tens of
-//! millions of cells per trial; `CellMap` turns each probe into one or two
-//! cache lines with no hasher state, which is what makes paper-scale runs
-//! (10⁶ particles, 81-cell neighborhoods) cheap on a laptop.
+//! by packed cell coordinates, which the far-field owner tree probes per
+//! tree cell; each probe costs one or two cache lines with no hasher state.
+//! The near-field scan reads the dense [`GridIndex`] instead.
 //!
 //! ```
 //! use sfc_particles::{Distribution, sample};
@@ -39,6 +38,6 @@ pub mod workload;
 
 pub use cellmap::CellMap;
 pub use distributions::{Distribution, DistributionKind};
-pub use grid_index::{GridIndex, MAX_GRID_CELLS};
+pub use grid_index::{GridIndex, MAX_GRID_ORDER};
 pub use sampler::{sample, sample_with, Sampler};
 pub use workload::{Workload, WorkloadError};

@@ -134,7 +134,7 @@ pub fn compute_artifact(spec: &ExperimentSpec) -> (CachedArtifact, SweepSummary)
     };
     let banner = args.banner(spec.artifact.title());
     let mut runner = SweepRunner::ephemeral();
-    let out = compute(spec, &ComputeOpts::default(), &mut runner);
+    let out = compute(spec, &ComputeOpts, &mut runner);
     let summary = runner.finish();
     let doc = sfc_bench::results::envelope(spec.artifact.name(), spec, &summary, out.data);
     let artifact_json = serde_json::to_string_pretty(&doc).expect("serialize artifact");

@@ -16,7 +16,7 @@ use sfc_analysis::core::ffi::{ffi_acd_with_tree, OwnerTree};
 use sfc_analysis::core::nfi::nfi_acd;
 use sfc_analysis::core::{Assignment, Machine};
 use sfc_analysis::curves::{point::Norm, CurveKind};
-use sfc_analysis::particles::{sample, DistributionKind};
+use sfc_analysis::particles::{sample, DistributionKind, MAX_GRID_ORDER};
 use sfc_analysis::topology::TopologyKind;
 
 fn main() {
@@ -37,6 +37,15 @@ fn main() {
     let mut grid_order = 4u32;
     while (1u64 << (2 * grid_order)) < 4 * n as u64 {
         grid_order += 1;
+    }
+    if grid_order > MAX_GRID_ORDER {
+        let side = 1u64 << MAX_GRID_ORDER;
+        eprintln!(
+            "advisor: {n} particles need a grid finer than the supported {side}x{side}; \
+             use at most {} particles",
+            (side * side) / 4
+        );
+        std::process::exit(2);
     }
     println!(
         "advisor: {n} {dist} particles on a {s}x{s} grid; {processors} processors ({topology}); \
