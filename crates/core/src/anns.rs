@@ -20,7 +20,7 @@
 use crate::error::SfcError;
 use rayon::prelude::*;
 use sfc_curves::point::Norm;
-use sfc_curves::{Curve2d, CurveKind, CurveTable, Point2};
+use sfc_curves::{CurveKind, Point2};
 
 /// Largest grid order the full-grid stretch sweeps accept (`O(4^order)`
 /// cells, each scanning an `O(radius²)` neighborhood).
@@ -53,21 +53,78 @@ fn forward_offsets(radius: u32, norm: Norm) -> Vec<(i64, i64, u64)> {
     offsets
 }
 
+/// The curve-index rows a stretch scan reads at height `y`: rows
+/// `y ..= y + radius`, computed from the curve's closed form and kept in a
+/// ring of at most `radius + 1` rows. Ascending `y` computes one new row per
+/// step, so a full-grid scan holds `O(radius · 2^order)` indices instead of
+/// the whole `O(4^order)` permutation.
+struct RowWindow {
+    curve: CurveKind,
+    order: u32,
+    side: usize,
+    /// `slots × side` indices; slot `y % slots` holds row `y`.
+    rows: Vec<u64>,
+    /// The row each slot currently holds.
+    held: Vec<Option<usize>>,
+}
+
+impl RowWindow {
+    fn new(curve: CurveKind, order: u32, radius: u32) -> Self {
+        let side = 1usize << order;
+        let slots = (radius as usize + 1).min(side);
+        RowWindow {
+            curve,
+            order,
+            side,
+            rows: vec![0; slots * side],
+            held: vec![None; slots],
+        }
+    }
+
+    /// Make rows `y ..= y + radius` (clipped to the grid) resident.
+    fn load(&mut self, y: usize) {
+        let slots = self.held.len();
+        for ny in y..(y + slots).min(self.side) {
+            let slot = ny % slots;
+            if self.held[slot] != Some(ny) {
+                let row = &mut self.rows[slot * self.side..][..self.side];
+                for (x, idx) in row.iter_mut().enumerate() {
+                    *idx = self.curve.index_of(self.order, Point2::new(x as u32, ny as u32));
+                }
+                self.held[slot] = Some(ny);
+            }
+        }
+    }
+
+    /// Row `y`, which the last [`RowWindow::load`] made resident:
+    /// `row(y)[x]` is the linear curve index of cell `(x, y)`.
+    fn row(&self, y: usize) -> &[u64] {
+        let slot = y % self.held.len();
+        debug_assert_eq!(self.held[slot], Some(y));
+        &self.rows[slot * self.side..][..self.side]
+    }
+}
+
 /// Shared kernel for the linear and cyclic generalized-stretch sweeps.
 ///
-/// Instead of probing `table.index` once per `(cell, offset)` pair, the scan
-/// walks each row of the grid and visits every dy-group of
-/// [`forward_offsets`] as one *clipped contiguous slice* over the
-/// precomputed index rows ([`CurveTable::index_row`]) — the same
-/// row-segment shape the NFI kernel uses over the dense occupancy grid.
+/// The scan walks each row of the grid and visits every dy-group of
+/// [`forward_offsets`] as one *clipped contiguous slice* over the index rows
+/// of a [`RowWindow`] — the same row-segment shape the NFI kernel uses over
+/// the dense occupancy grid — instead of probing the curve once per
+/// `(cell, offset)` pair.
 ///
 /// Stretch sums are floating point, so the accumulation order is part of
 /// the observable result: the scan visits pairs in exactly the per-cell
 /// offset order of the naive loop (x ascending outer, offsets in
 /// `forward_offsets` order inner), which keeps artifacts byte-identical.
-fn stretch_scan<const CYCLIC: bool>(table: &CurveTable, radius: u32, norm: Norm) -> StretchResult {
-    let side = table.side() as i64;
-    let n = table.len();
+fn stretch_scan<const CYCLIC: bool>(
+    curve: CurveKind,
+    order: u32,
+    radius: u32,
+    norm: Norm,
+) -> StretchResult {
+    let side = 1i64 << order;
+    let n = 1u64 << (2 * order);
     let offsets = forward_offsets(radius, norm);
     // Contiguous runs of `offsets`: each run is one dy with consecutive
     // ascending dx values, recorded as (dy, first dx, start index, len).
@@ -81,43 +138,50 @@ fn stretch_scan<const CYCLIC: bool>(table: &CurveTable, radius: u32, norm: Norm)
 
     (0..side)
         .into_par_iter()
-        .fold(StretchResult::empty, |mut acc, y| {
-            let row = table.index_row(y as u32);
-            // Bind the target row for every group that stays on the grid at
-            // this y (dy >= 0 always, so only the top edge clips).
-            let active: Vec<(&[u64], i64, usize, usize)> = groups
-                .iter()
-                .filter(|&&(dy, ..)| y + dy < side)
-                .map(|&(dy, dx_first, start, len)| {
-                    (table.index_row((y + dy) as u32), dx_first, start, len)
-                })
-                .collect();
-            for x in 0..side {
-                let here = row[x as usize];
-                for &(nrow, dx_first, start, len) in &active {
-                    let dx_last = dx_first + len as i64 - 1;
-                    let lo = dx_first.max(-x);
-                    let hi = dx_last.min(side - 1 - x);
-                    if lo > hi {
-                        continue;
-                    }
-                    let s = start + (lo - dx_first) as usize;
-                    let e = start + (hi - dx_first) as usize;
-                    for &(dx, _, dist) in &offsets[s..=e] {
-                        let there = nrow[(x + dx) as usize];
-                        let linear = here.abs_diff(there);
-                        let measured = if CYCLIC { linear.min(n - linear) } else { linear };
-                        let stretch = measured as f64 / dist as f64;
-                        acc.total_stretch += stretch;
-                        acc.num_pairs += 1;
-                        if stretch > acc.max_stretch {
-                            acc.max_stretch = stretch;
+        .fold(
+            || (StretchResult::empty(), RowWindow::new(curve, order, radius)),
+            |(mut acc, mut window), y| {
+                window.load(y as usize);
+                let row = window.row(y as usize);
+                // Bind the target row for every group that stays on the
+                // grid at this y (dy >= 0 always, so only the top edge
+                // clips).
+                let active: Vec<(&[u64], i64, usize, usize)> = groups
+                    .iter()
+                    .filter(|&&(dy, ..)| y + dy < side)
+                    .map(|&(dy, dx_first, start, len)| {
+                        (window.row((y + dy) as usize), dx_first, start, len)
+                    })
+                    .collect();
+                for x in 0..side {
+                    let here = row[x as usize];
+                    for &(nrow, dx_first, start, len) in &active {
+                        let dx_last = dx_first + len as i64 - 1;
+                        let lo = dx_first.max(-x);
+                        let hi = dx_last.min(side - 1 - x);
+                        if lo > hi {
+                            continue;
+                        }
+                        let s = start + (lo - dx_first) as usize;
+                        let e = start + (hi - dx_first) as usize;
+                        for &(dx, _, dist) in &offsets[s..=e] {
+                            let there = nrow[(x + dx) as usize];
+                            let linear = here.abs_diff(there);
+                            let measured = if CYCLIC { linear.min(n - linear) } else { linear };
+                            let stretch = measured as f64 / dist as f64;
+                            acc.total_stretch += stretch;
+                            acc.num_pairs += 1;
+                            if stretch > acc.max_stretch {
+                                acc.max_stretch = stretch;
+                            }
                         }
                     }
                 }
-            }
-            acc
-        })
+                drop(active);
+                (acc, window)
+            },
+        )
+        .map(|(acc, _)| acc)
         .reduce(StretchResult::empty, StretchResult::merge)
 }
 
@@ -193,8 +257,7 @@ pub fn anns_radius(
     norm: Norm,
 ) -> Result<StretchResult, SfcError> {
     check_stretch_params(order, radius, MAX_STRETCH_ORDER)?;
-    let table = CurveTable::new(curve, order);
-    Ok(stretch_scan::<false>(&table, radius, norm))
+    Ok(stretch_scan::<false>(curve, order, radius, norm))
 }
 
 /// The all-pairs stretch of Xu & Tirthapura: mean of
@@ -212,19 +275,18 @@ pub fn all_pairs_stretch(curve: CurveKind, order: u32) -> Result<StretchResult, 
             max_order: MAX_ALL_PAIRS_ORDER,
         });
     }
-    let table = CurveTable::new(curve, order);
-    let side = table.side() as u32;
-    let cells: Vec<Point2> = (0..side)
+    let side = 1u32 << order;
+    let cells: Vec<(Point2, u64)> = (0..side)
         .flat_map(|y| (0..side).map(move |x| Point2::new(x, y)))
+        .map(|p| (p, curve.index_of(order, p)))
         .collect();
     let result = cells
         .par_iter()
         .enumerate()
-        .fold(StretchResult::empty, |mut acc, (i, &a)| {
-            let ia = table.index(a);
-            for &b in &cells[i + 1..] {
+        .fold(StretchResult::empty, |mut acc, (i, &(a, ia))| {
+            for &(b, ib) in &cells[i + 1..] {
                 let d = a.manhattan(b);
-                let stretch = ia.abs_diff(table.index(b)) as f64 / d as f64;
+                let stretch = ia.abs_diff(ib) as f64 / d as f64;
                 acc.total_stretch += stretch;
                 acc.num_pairs += 1;
                 if stretch > acc.max_stretch {
@@ -240,6 +302,7 @@ pub fn all_pairs_stretch(curve: CurveKind, order: u32) -> Result<StretchResult, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sfc_curves::{Curve2d, CurveTable};
 
     /// Closed form for the row-major ANNS on a `s×s` grid: horizontal
     /// neighbor pairs have stretch 1, vertical pairs have stretch `s`.
@@ -391,24 +454,25 @@ mod tests {
 
     #[test]
     fn row_segment_scan_is_bit_identical_to_naive_probes() {
+        // Orders 1–2 have fewer rows than a radius-3/7 window; order 5 has
+        // more, so the row ring wraps.
         for curve in [CurveKind::Hilbert, CurveKind::ZCurve, CurveKind::RowMajor] {
-            let table = CurveTable::new(curve, 4);
-            for norm in [Norm::Manhattan, Norm::Chebyshev] {
-                for radius in [1, 3, 7] {
-                    for cyclic in [false, true] {
-                        let want = naive_scan(&table, radius, norm, cyclic);
-                        let got = if cyclic {
-                            stretch_scan::<true>(&table, radius, norm)
-                        } else {
-                            stretch_scan::<false>(&table, radius, norm)
-                        };
-                        assert_eq!(want.num_pairs, got.num_pairs, "{curve} r={radius}");
-                        assert_eq!(
-                            want.total_stretch.to_bits(),
-                            got.total_stretch.to_bits(),
-                            "{curve} r={radius} {norm:?} cyclic={cyclic}"
-                        );
-                        assert_eq!(want.max_stretch.to_bits(), got.max_stretch.to_bits());
+            for order in [1, 2, 4, 5] {
+                let table = CurveTable::new(curve, order);
+                for norm in [Norm::Manhattan, Norm::Chebyshev] {
+                    for radius in [1, 3, 7] {
+                        for cyclic in [false, true] {
+                            let want = naive_scan(&table, radius, norm, cyclic);
+                            let got = if cyclic {
+                                stretch_scan::<true>(curve, order, radius, norm)
+                            } else {
+                                stretch_scan::<false>(curve, order, radius, norm)
+                            };
+                            let at = format!("{curve} order {order} r={radius} {norm:?} cyclic={cyclic}");
+                            assert_eq!(want.num_pairs, got.num_pairs, "{at}");
+                            assert_eq!(want.total_stretch.to_bits(), got.total_stretch.to_bits(), "{at}");
+                            assert_eq!(want.max_stretch.to_bits(), got.max_stretch.to_bits(), "{at}");
+                        }
                     }
                 }
             }
@@ -470,8 +534,7 @@ pub fn anns_cyclic(
     norm: Norm,
 ) -> Result<StretchResult, SfcError> {
     check_stretch_params(order, radius, MAX_STRETCH_ORDER)?;
-    let table = CurveTable::new(curve, order);
-    Ok(stretch_scan::<true>(&table, radius, norm))
+    Ok(stretch_scan::<true>(curve, order, radius, norm))
 }
 
 #[cfg(test)]

@@ -219,7 +219,10 @@ pub fn ffi_acd_with_tree(
     result.anterp_distance = result.interp_distance;
     result.anterp_comms = result.interp_comms;
 
-    // Interaction lists: levels 2 ..= k (level 1 lists are empty).
+    // Interaction lists: levels 2 ..= k (level 1 lists are empty). The
+    // relation is symmetric (`well_separated`) and so is hop distance, so
+    // each cell counts only the list members that sort after it — every
+    // unordered pair once — and the sums are doubled into directed ones.
     for level in 2..=k {
         let entries = tree.level_entries(level);
         let level_map = &tree.levels[level as usize];
@@ -227,9 +230,10 @@ pub fn ffi_acd_with_tree(
             .par_iter()
             .map(|&(code, rank)| {
                 let cell = Cell::from_code(level, code);
+                let list = interaction_list(cell);
                 let mut d = 0u64;
                 let mut c = 0u64;
-                for other_cell in interaction_list(cell) {
+                for other_cell in &list[list.partition_point(|o| *o < cell)..] {
                     if let Some(other) = level_map.get(other_cell.code()) {
                         d += machine.distance(rank, other);
                         c += 1;
@@ -238,8 +242,8 @@ pub fn ffi_acd_with_tree(
                 (d, c)
             })
             .reduce(|| (0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
-        result.ilist_distance += dist;
-        result.ilist_comms += count;
+        result.ilist_distance += 2 * dist;
+        result.ilist_comms += 2 * count;
     }
 
     Ok(result)
@@ -393,6 +397,65 @@ mod tests {
             // Borrowed, not re-collected: repeated calls hand out the same
             // memory.
             assert_eq!(entries.as_ptr(), tree.level_entries(level).as_ptr());
+        }
+    }
+
+    /// Reference far field: every occupied cell messages its parent's
+    /// owner, and every occupied cell exchanges with every occupied member
+    /// of its full interaction list — each directed exchange computed on
+    /// its own, with point lookups only.
+    fn full_directed_ffi(asg: &Assignment, machine: &Machine) -> FfiResult {
+        let tree = OwnerTree::build(asg);
+        let mut res = FfiResult::default();
+        for level in 1..=asg.grid_order() {
+            for &(code, rank) in tree.level_entries(level) {
+                let cell = Cell::from_code(level, code);
+                let parent = tree.owner(cell.parent().unwrap()).unwrap();
+                res.interp_distance += machine.distance(rank, parent);
+                res.interp_comms += 1;
+                for other_cell in interaction_list(cell) {
+                    if let Some(other) = tree.owner(other_cell) {
+                        res.ilist_distance += machine.distance(rank, other);
+                        res.ilist_comms += 1;
+                    }
+                }
+            }
+        }
+        res.anterp_distance = res.interp_distance;
+        res.anterp_comms = res.interp_comms;
+        res
+    }
+
+    /// The forward-half interaction-list scan agrees with the full
+    /// directed enumeration.
+    #[test]
+    fn forward_half_matches_full_directed_ilist() {
+        for order in 3..=6u32 {
+            let side = 1u32 << order;
+            // An irregular blob so lists are partly occupied and cells near
+            // the grid edge have clipped lists.
+            let mut coords = Vec::new();
+            for x in 0..side {
+                for y in 0..side {
+                    if (x * 7 + y * 3 + order) % 5 != 0 && (x ^ y) % 7 != 3 {
+                        coords.push((x, y));
+                    }
+                }
+            }
+            let particles = pts(&coords);
+            for curve in [CurveKind::Hilbert, CurveKind::ZCurve] {
+                for ranks in [4u64, 16, 64] {
+                    let asg = Assignment::new(&particles, order, curve, ranks);
+                    for topo in TopologyKind::PAPER {
+                        let machine = Machine::new(topo, 64, curve);
+                        assert_eq!(
+                            ffi_acd(&asg, &machine),
+                            Ok(full_directed_ffi(&asg, &machine)),
+                            "order {order} {curve:?} {topo:?} p={ranks}"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -12,6 +12,12 @@
 //! `y → x` are two communications); since hop distance is symmetric, the
 //! ACD is identical to the undirected convention.
 //!
+//! The same symmetry lets the scan visit each unordered pair once: every
+//! particle scans only the forward half of its neighborhood (the cells to
+//! its right in its own row, and the rows above it), and the integer sums
+//! are doubled. This relies on `Machine::distance(a, b) ==
+//! Machine::distance(b, a)`, which `machine.rs` checks on every rank pair.
+//!
 //! The scan is parallelized over particles with rayon; each worker folds
 //! into local `(distance, count)` accumulators and the reduction is an
 //! integer sum, so results are independent of thread count.
@@ -93,40 +99,37 @@ pub fn nfi_acd(
             let x = p.x as i64;
             // The neighborhood is a stack of contiguous row segments: per
             // `dy`, `dx` spans `±r` (Chebyshev) or `±(r − |dy|)`
-            // (Manhattan). Clip each segment against the grid edge once,
-            // then scan it with no per-cell bounds checks.
-            for dy in -r..=r {
+            // (Manhattan). Only the forward half is scanned — the cells
+            // right of the particle in its own row, then the full rows
+            // above it — so each unordered pair is visited exactly once.
+            // Clip each segment against the grid edge once, then scan it
+            // with no per-cell bounds checks.
+            for dy in 0..=r {
                 let ny = p.y as i64 + dy;
-                if ny < 0 || ny >= side {
-                    continue;
+                if ny >= side {
+                    break;
                 }
                 let w = match norm {
                     Norm::Chebyshev => r,
-                    Norm::Manhattan => r - dy.abs(),
+                    Norm::Manhattan => r - dy,
                 };
-                let lo = (x - w).max(0);
+                let lo = if dy == 0 { x + 1 } else { (x - w).max(0) };
                 let hi = (x + w).min(side - 1);
-                if lo > hi {
-                    continue;
-                }
-                // One indexed load per cell of the segment. `dy == 0`
-                // splits around the particle's own cell.
-                let ranks = asg.rank_row(ny as u32);
-                if dy == 0 {
-                    scan_segment(&ranks[lo as usize..x as usize], rank, machine, &mut acc);
-                    scan_segment(&ranks[(x + 1) as usize..=hi as usize], rank, machine, &mut acc);
-                } else {
+                if lo <= hi {
+                    let ranks = asg.rank_row(ny as u32);
                     scan_segment(&ranks[lo as usize..=hi as usize], rank, machine, &mut acc);
                 }
             }
             acc
         })
         .reduce(NfiResult::default, NfiResult::merge);
-    Ok(result)
+    // Hop distance is symmetric, so the backward half of every exchange
+    // repeats the forward half exactly.
+    Ok(result.merge(result))
 }
 
 /// Accumulate one clipped row segment of the dense rank table into `acc`:
-/// every occupied slot is one directed exchange.
+/// every occupied slot is one exchange.
 #[inline]
 fn scan_segment(seg: &[u32], rank: u32, machine: &Machine, acc: &mut NfiResult) {
     for &other in seg {
@@ -136,7 +139,7 @@ fn scan_segment(seg: &[u32], rank: u32, machine: &Machine, acc: &mut NfiResult) 
     }
 }
 
-/// Record one directed exchange from `rank` to `other`. Rank-local
+/// Record one exchange from `rank` to `other`. Rank-local
 /// exchanges cost nothing and skip the distance call.
 #[inline]
 fn exchange(rank: u32, other: u32, machine: &Machine, acc: &mut NfiResult) {

@@ -1,7 +1,7 @@
 //! Precomputed curve permutation tables.
 //!
-//! Metric sweeps (ANNS in particular) evaluate `index(p)` for *every* cell
-//! of a grid, often repeatedly. [`CurveTable`] materializes the full
+//! Metric sweeps (the clustering metric in particular) evaluate `index(p)`
+//! for *every* cell of a grid, often repeatedly. [`CurveTable`] materializes the full
 //! point→index permutation once — `O(4^k)` memory — turning each lookup into
 //! a single indexed load. The `curves` bench compares table lookups against
 //! recomputing the transform per query.
@@ -56,17 +56,6 @@ impl CurveTable {
     pub fn kind(&self) -> CurveKind {
         self.kind
     }
-
-    /// The full index row at height `y`: `index_row(y)[x]` is the linear
-    /// curve index of cell `(x, y)`. Full-grid sweeps (ANNS) walk clipped
-    /// contiguous segments of these rows instead of calling
-    /// [`Curve2d::index`] per cell.
-    #[inline]
-    pub fn index_row(&self, y: u32) -> &[u64] {
-        let side = 1usize << self.order;
-        let start = (y as usize) << self.order;
-        &self.index_of[start..start + side]
-    }
 }
 
 impl Curve2d for CurveTable {
@@ -118,18 +107,6 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&v| v));
-    }
-
-    #[test]
-    fn index_rows_match_per_cell_lookups() {
-        let table = CurveTable::new(CurveKind::Gray, 4);
-        for y in 0..table.side() as u32 {
-            let row = table.index_row(y);
-            assert_eq!(row.len(), table.side() as usize);
-            for x in 0..table.side() as u32 {
-                assert_eq!(row[x as usize], table.index(Point2::new(x, y)));
-            }
-        }
     }
 
     #[test]

@@ -49,7 +49,7 @@ impl InteractionList {
         self.len += 1;
     }
 
-    /// The list as a slice, in sorted `(level, y, x)` cell order.
+    /// The list as a slice, sorted by `Cell`'s derived `(level, x, y)` order.
     #[inline]
     pub fn as_slice(&self) -> &[Cell] {
         &self.cells[..self.len]
